@@ -15,6 +15,7 @@ import mpmath
 from mpmath import mp
 
 from .errors import DomainError
+from .mopoly import _horner
 from .precision import DOUBLE, PrecisionConfig
 from .specfun import Params, omega, omega_mp, pochhammer, rho, rho_mp
 
@@ -37,13 +38,6 @@ class ShiftPair:
 
     def s_at(self, x: float) -> float:
         return _horner(self.s_poly, x)
-
-
-def _horner(coeffs, x):
-    out = 0.0
-    for c in reversed(coeffs):
-        out = out * x + c
-    return out
 
 
 def shift_pair(order_base: float, m: int) -> ShiftPair:
@@ -69,17 +63,23 @@ def shift_pair(order_base: float, m: int) -> ShiftPair:
     return ShiftPair(tuple(r), tuple(s), m, order_base)
 
 
-def _shift_eval_mp(pair: ShiftPair, base_order: float, scale: float,
+def _shift_eval_mp(m: int, base_order: float, scale: float,
                    weight_mp, x: float, bits: int) -> float:
-    """Exact-coefficient reconstruction at working precision `bits`."""
+    """Exact-coefficient reconstruction at working precision `bits`.
+
+    The pair is rebuilt from the mpf order: the double coefficients carry
+    rounding that the cancelling sum would amplify past any precision.
+    """
     with mp.workprec(bits):
+        base = mp.mpf(base_order)
+        pair = shift_pair(base, m)
         sc = mp.mpf(scale)
         xm = mp.mpf(x)
         arg = sc * sc * xm
-        w0 = weight_mp(base_order, abs(scale), xm, bits)
-        w1 = weight_mp(base_order + 1.0, abs(scale), xm, bits)
-        r = mpmath.fsum(mp.mpf(c) * arg ** k for k, c in enumerate(pair.r_poly))
-        s = mpmath.fsum(mp.mpf(c) * arg ** k for k, c in enumerate(pair.s_poly))
+        w0 = weight_mp(base, abs(scale), xm, bits)
+        w1 = weight_mp(base + 1, abs(scale), xm, bits)
+        r = mpmath.fsum(c * arg ** k for k, c in enumerate(pair.r_poly))
+        s = mpmath.fsum(c * arg ** k for k, c in enumerate(pair.s_poly))
         return float(sc ** (-pair.m) * r * w0 + sc ** (1 - pair.m) * s * w1)
 
 
@@ -105,7 +105,7 @@ def _shift_combine(pair: ShiftPair, base_order: float, scale: float,
     if ratio < 1e3:
         return total
     bits = 64 + int(math.log2(ratio)) + 16
-    return _shift_eval_mp(pair, base_order, scale, weight_mp, x, bits)
+    return _shift_eval_mp(pair.m, base_order, scale, weight_mp, x, bits)
 
 
 def omega_shift_eval(p: Params, m: int, x: float,

@@ -16,6 +16,7 @@ import numpy as np
 from scipy import special as sp
 
 from .errors import DomainError, NonConvergence, SymmetryViolation
+from .quad import gauss_panels
 from .specfun import Params, pochhammer
 
 from dataclasses import dataclass
@@ -70,13 +71,7 @@ def mb_integrate(integrand, cfg: ContourConfig = ContourConfig(),
         raise NonConvergence(f"truncation height {T:.1f} exceeds cap {_T_CAP}")
 
     n_panels = max(2, int(math.ceil(2.0 * T)))
-    order = cfg.nodes_per_unit
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    edges = np.linspace(-T, T, n_panels + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    ss = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
-    ws = (half[:, None] * weights[None, :]).ravel()
+    ss, ws = gauss_panels(np.linspace(-T, T, n_panels + 1), cfg.nodes_per_unit)
 
     ts = cfg.c + 1j * ss
     try:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import mpmath
 import numpy as np
@@ -25,7 +26,8 @@ from mpmath import mp
 from .errors import BmopError, CapExceeded, DomainError, NonConvergence, PrecisionLossWarning
 from .precision import DOUBLE, LogValue, PrecisionConfig, logsum
 from . import specfun
-from .specfun import Params, log_gamma, log_gamma_ratio, omega, omega_mp, rho, rho_mp
+from .specfun import (Params, log_gamma, log_gamma_ratio, omega, omega_mp, pochhammer,
+                      rho, rho_mp)
 
 _ESCALATION_RATIO = 1e12
 _ESCALATION_DEGREE = 30
@@ -146,7 +148,7 @@ def _q_eval_mp(p: Params, n: int, x: float, bits: int) -> float:
         coeffs = _q_coeffs_mp(p, n)
         total = mp.mpf(0)
         for j, c in enumerate(coeffs):
-            total += c * omega_mp(p.mu + j, p.a, x, bits)
+            total += c * omega_mp(mp.mpf(p.mu) + j, p.a, x, bits)
         return float(total)
 
 
@@ -155,7 +157,7 @@ def _p_eval_mp(p: Params, n: int, x: float, bits: int) -> float:
         coeffs = _p_coeffs_mp(p, n)
         total = mp.mpf(0)
         for j, d in enumerate(coeffs):
-            total += d * rho_mp(p.nu + j, p.b, x, bits)
+            total += d * rho_mp(mp.mpf(p.nu) + j, p.b, x, bits)
         return float(total)
 
 
@@ -253,14 +255,15 @@ def q_eval_determinant(p: Params, n: int, x: float,
     if x <= 0:
         raise DomainError("x must be > 0")
     bits = max(precision.mantissa_bits if precision.extended else 0, 64 + 8 * n)
-    base = p.mu + p.nu + 1.0
     with mp.workprec(bits):
+        mu = mp.mpf(p.mu)
+        base = mu + p.nu + 1
         scale = mp.mpf(p.gap) / p.a
         rows = []
         for i in range(n):
-            g0 = mpmath.gamma(mp.mpf(base) + i)
-            rows.append([mpmath.gamma(mp.mpf(base) + i + j) / g0 for j in range(n + 1)])
-        rows.append([scale ** j * omega_mp(p.mu + j, p.a, x, bits) for j in range(n + 1)])
+            g0 = mpmath.gamma(base + i)
+            rows.append([mpmath.gamma(base + i + j) / g0 for j in range(n + 1)])
+        rows.append([scale ** j * omega_mp(mu + j, p.a, x, bits) for j in range(n + 1)])
         det = _det_full_pivot(rows)
         # row scaling cancels Gamma(base+k) in the stated normalizer,
         # leaving prod k!
@@ -277,22 +280,23 @@ def p_eval_determinant(p: Params, n: int, x: float,
     if x <= 0:
         raise DomainError("x must be > 0")
     bits = max(precision.mantissa_bits if precision.extended else 0, 64 + 8 * n)
-    base = p.mu + p.nu + 1.0
     cn = normalization_c(p, n).value
     with mp.workprec(bits):
+        nu = mp.mpf(p.nu)
+        base = nu + p.mu + 1
         scale = mp.mpf(p.gap) / p.b
         rows = []
         for i in range(n + 1):
-            g0 = mpmath.gamma(mp.mpf(base) + i)
-            row = [mpmath.gamma(mp.mpf(base) + i + j) / g0 for j in range(n)]
-            row.append(scale ** i * rho_mp(p.nu + i, p.b, x, bits) / g0)
+            g0 = mpmath.gamma(base + i)
+            row = [mpmath.gamma(base + i + j) / g0 for j in range(n)]
+            row.append(scale ** i * rho_mp(nu + i, p.b, x, bits) / g0)
             rows.append(row)
         det = _det_full_pivot(rows)
         for k in range(n):
             det /= mpmath.factorial(k)
         # row scaling removed Gamma(base+i) for every row incl. the weight
         # column; the normalizer only cancels the first n of them
-        det *= mpmath.gamma(mp.mpf(base) + n)
+        det *= mpmath.gamma(base + n)
         return float(det * cn.mpf(bits))
 
 
@@ -303,16 +307,17 @@ def _q_series_terms(p: Params, n: int, x, one):
     """Yield (outer_factor, inner_sum, inner_abs_sum); arithmetic type set by `one`."""
     a2x = one * p.a * p.a * x
     z = one * p.gap * x
-    base = p.mu + p.nu + 1.0
+    mu = one * p.mu
+    base = mu + p.nu + 1
     k = 0
     outer = one
     while True:
         # inner alternating sum over j at fixed k
-        t = one / (_gamma_like(one, p.mu + k + 1.0) * _gamma_like(one, base))
+        t = one / (_gamma_like(one, mu + k + 1) * _gamma_like(one, base))
         s = t
         s_abs = abs(t)
         for j in range(n):
-            t = t * (j - n) * z / ((j + 1) * (p.mu + j + k + 1.0) * (base + j))
+            t = t * (j - n) * z / ((j + 1) * (mu + j + k + 1) * (base + j))
             s += t
             s_abs += abs(t)
         yield outer, s, s_abs
@@ -320,7 +325,7 @@ def _q_series_terms(p: Params, n: int, x, one):
         k += 1
 
 
-def _gamma_like(one, v: float):
+def _gamma_like(one, v):
     if isinstance(one, float):
         # 1/inf -> 0 cleanly terminates the k-recursion once factorials
         # leave double range
@@ -432,7 +437,7 @@ def a_polys(p: Params, n: int) -> PolyPair:
             for j in range(2 * i, n + 1):
                 t = (g_top / log_gamma(base + j)).value()
                 t *= math.comb(n, j) * math.comb(j - i - 1, i - 1) * q ** j
-                t *= _poch(p.mu + i + 1.0, j - 2 * i)
+                t *= pochhammer(p.mu + i + 1.0, j - 2 * i)
                 terms.append(t)
             s = (p.a ** (2 * i)) * math.fsum(terms)
         first.append(sign1 * s)
@@ -443,7 +448,7 @@ def a_polys(p: Params, n: int) -> PolyPair:
         for j in range(2 * i + 1, n + 1):
             t = (g_top / log_gamma(base + j)).value()
             t *= math.comb(n, j) * math.comb(j - i - 1, i) * q ** j
-            t *= _poch(p.mu + i + 1.0, j - 2 * i - 1)
+            t *= pochhammer(p.mu + i + 1.0, j - 2 * i - 1)
             terms.append(t)
         # the x^i coefficient inherits a^(2i) from evaluating the shift
         # polynomial at a^2 x
@@ -472,7 +477,7 @@ def b_polys(p: Params, n: int) -> PolyPair:
             terms = []
             for j in range(2 * i, n + 1):
                 t = math.comb(n, j) * math.comb(j - i - 1, i - 1) * q ** j
-                t *= _poch(p.nu + i + 1.0, j - 2 * i)
+                t *= pochhammer(p.nu + i + 1.0, j - 2 * i)
                 t /= math.exp(log_gamma(base + j).log_magnitude)
                 terms.append(t)
             s = (p.b ** (2 * i)) * math.fsum(terms)
@@ -483,19 +488,12 @@ def b_polys(p: Params, n: int) -> PolyPair:
         terms = []
         for j in range(2 * i + 1, n + 1):
             t = math.comb(n, j) * math.comb(j - i - 1, i) * q ** j
-            t *= _poch(p.nu + i + 1.0, j - 2 * i - 1)
+            t *= pochhammer(p.nu + i + 1.0, j - 2 * i - 1)
             t /= math.exp(log_gamma(base + j).log_magnitude)
             terms.append(t)
         second.append(sign * pref.value() * p.b ** (2 * i + 1) * math.fsum(terms))
 
     return PolyPair(tuple(first), tuple(second), "B", n, p)
-
-
-def _poch(x: float, k: int) -> float:
-    out = 1.0
-    for i in range(k):
-        out *= x + i
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +503,9 @@ class WeightGrid:
     """Extended-precision tables of shifted weights on a fixed grid.
 
     Shared by quadrature, sign counting and kernel evaluation so the costly
-    Bessel calls happen once per (grid, order) pair.
+    Bessel calls happen once per (grid, order) pair.  Each family's table
+    is built on its first use, so a caller that reads only Q_n never pays
+    for the second-kind table.
     """
 
     def __init__(self, p: Params, jmax: int, xs, bits: int = 160):
@@ -515,15 +515,21 @@ class WeightGrid:
         # cancelling integrands needs the nodes beyond double accuracy
         self.xs = np.array([float(x) for x in xs])
         self.bits = bits
-        # two base Bessel evaluations per node, the rest of the order
-        # ladder by three-term recurrence: downward in order for I (the
-        # stable direction) and upward for K
         with mp.workprec(bits + 20):
-            xs_mp = [mp.mpf(x) for x in xs]
-            self.omega_tab = [[None] * len(xs_mp) for _ in range(jmax + 1)]
-            self.rho_tab = [[None] * len(xs_mp) for _ in range(jmax + 1)]
-            mu_mp, nu_mp = mp.mpf(p.mu), mp.mpf(p.nu)
-            for k, x in enumerate(xs_mp):
+            self._xs_mp = [mp.mpf(x) for x in xs]
+
+    # two base Bessel evaluations per node, the rest of the order ladder by
+    # three-term recurrence: downward in order for I (the stable direction)
+    # and upward for K
+
+    @cached_property
+    def omega_tab(self) -> list:
+        """omega_tab[j][k] = omega_{mu+j,a}(xs[k]) for j <= jmax."""
+        p, jmax = self.params, self.jmax
+        with mp.workprec(self.bits + 20):
+            tab = [[None] * len(self._xs_mp) for _ in range(jmax + 1)]
+            mu_mp = mp.mpf(p.mu)
+            for k, x in enumerate(self._xs_mp):
                 s = mpmath.sqrt(x)
                 zi = 2 * p.a * s
                 ladder = [mp.mpf(0)] * (jmax + 2)
@@ -533,21 +539,33 @@ class WeightGrid:
                     ladder[j] = ladder[j + 2] + 2 * (mu_mp + j + 1) / zi * ladder[j + 1]
                 pw = x ** (mu_mp / 2)
                 for j in range(jmax + 1):
-                    self.omega_tab[j][k] = pw * ladder[j]
+                    tab[j][k] = pw * ladder[j]
                     pw *= s
+        return tab
+
+    @cached_property
+    def rho_tab(self) -> list:
+        """rho_tab[j][k] = rho_{nu+j,b}(xs[k]) for j <= jmax."""
+        p, jmax, bits = self.params, self.jmax, self.bits + 20
+        with mp.workprec(bits):
+            tab = [[None] * len(self._xs_mp) for _ in range(jmax + 1)]
+            nu_mp = mp.mpf(p.nu)
+            for k, x in enumerate(self._xs_mp):
+                s = mpmath.sqrt(x)
                 zk = 2 * p.b * s
-                k0 = specfun.besselk_mp(nu_mp, zk, bits + 20)
-                k1 = specfun.besselk_mp(nu_mp + 1, zk, bits + 20)
+                k0 = specfun.besselk_mp(nu_mp, zk, bits)
+                k1 = specfun.besselk_mp(nu_mp + 1, zk, bits)
                 pw = x ** (nu_mp / 2)
-                self.rho_tab[0][k] = pw * k0
+                tab[0][k] = pw * k0
                 if jmax >= 1:
-                    self.rho_tab[1][k] = pw * s * k1
+                    tab[1][k] = pw * s * k1
                 prev, cur = k0, k1
                 pw = pw * s
                 for j in range(2, jmax + 1):
                     prev, cur = cur, prev + 2 * (nu_mp + j - 1) / zk * cur
                     pw *= s
-                    self.rho_tab[j][k] = pw * cur
+                    tab[j][k] = pw * cur
+        return tab
 
     def q_values_mp(self, n: int) -> list:
         if n > self.jmax:

@@ -21,7 +21,6 @@ from mpmath import mp
 class PrecisionConfig:
     mode: str = "double"          # "double" | "extended"
     mantissa_bits: int = 256      # used in extended mode only
-    sum_compensation: bool = True
 
     def __post_init__(self):
         if self.mode not in ("double", "extended"):

@@ -71,15 +71,21 @@ def _graded_edges(u_max, n_panels: int, levels: int):
     return [u_max * 0.0] + edges + [u_max * k / n_panels for k in range(1, n_panels + 1)]
 
 
-def panel_nodes(u_max: float, n_panels: int, order: int, levels: int = 25):
-    """Gauss-Legendre nodes/weights on [0, u_max], graded toward 0."""
+def gauss_panels(edges, order: int):
+    """Composite Gauss-Legendre nodes/weights over the panels between
+    consecutive edges, in double precision."""
     nodes, weights = _gauss_rule(order)
-    edges = np.array(_graded_edges(float(u_max), n_panels, levels))
+    edges = np.asarray(edges, dtype=float)
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
     us = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
     ws = (half[:, None] * weights[None, :]).ravel()
     return us, ws
+
+
+def panel_nodes(u_max: float, n_panels: int, order: int, levels: int = 25):
+    """Gauss-Legendre nodes/weights on [0, u_max], graded toward 0."""
+    return gauss_panels(_graded_edges(float(u_max), n_panels, levels), order)
 
 
 def _legendre_pd(n: int, x):
@@ -132,9 +138,9 @@ def _eval_vec(f, x: np.ndarray) -> np.ndarray:
         y = np.asarray(f(x), dtype=float)
         if y.shape == x.shape:
             return y
-    except Exception:
+    except (TypeError, ValueError):
         pass
-    return np.array([float(f(float(xi)) ) for xi in x])
+    return np.array([float(f(float(xi))) for xi in x])
 
 
 def integrate_half_line(f, decay_rate: float, cfg: QuadConfig = QuadConfig()) -> float:
@@ -226,50 +232,6 @@ def biorth_matrix_moments(p: Params, N: int, dps: int = 60) -> BiorthReport:
     return BiorthReport(N, out)
 
 
-def biorth_matrix(p: Params, N: int, cfg: QuadConfig = QuadConfig(),
-                  bits: int = 200) -> BiorthReport:
-    """Biorthogonality matrix by direct quadrature of Q_n * P_m.
-
-    All N^2 entries share one node set; the integrands share the decay rate
-    2(b-a) in sqrt(x), so a single tail bound covers the whole matrix.  The
-    weight tables at the nodes are built in extended precision because the
-    basis expansions cancel catastrophically for larger n.
-    """
-    if N < 1:
-        raise DomainError("N must be >= 1")
-    rate = 2.0 * (p.b - p.a)
-    # scale of the largest oscillation region among n < N
-    _, x_hi = mopoly.sign_change_window(p, N - 1)
-    u_max = max(8.0 / rate, 2.0) * (1.0 + (p.mu + p.nu + N) / 4.0)
-    u_max = max(u_max, math.sqrt(x_hi))
-    # extend until the product tail bound is comfortably below abs_tol
-    for _ in range(cfg.max_doublings):
-        log_tail = _log_product_tail(p, N - 1, u_max)
-        if log_tail < math.log(cfg.abs_tol) - 5.0:
-            break
-        u_max *= 1.5
-    else:
-        raise NonConvergence("biorth tail bound not reached")
-
-    n_panels = max(16, int(math.ceil(u_max)))
-    us, ws = panel_nodes_mp(u_max, n_panels, cfg.panel_order, bits)
-    with mp.workprec(bits):
-        xs = [u * u for u in us]
-        grid = mopoly.WeightGrid(p, N - 1, xs, bits=bits)
-        # the absolute mass of the off-diagonal integrands reaches 1e10
-        # while the integral is 0, so nodes, weights and the accumulation
-        # all have to run above double or rounding alone blows the budget
-        w2u = [w * 2 * u for w, u in zip(ws, us)]
-        qv = [grid.q_values_mp(n) for n in range(N)]
-        pv = [grid.p_values_mp(m) for m in range(N)]
-        qw = [[q * w for q, w in zip(row, w2u)] for row in qv]
-        out = np.empty((N, N))
-        for n in range(N):
-            for m in range(N):
-                out[n, m] = float(mpmath.fsum(q * r for q, r in zip(qw[n], pv[m])))
-    return BiorthReport(N, out)
-
-
 def _log_product_tail(p: Params, n: int, u: float) -> float:
     """log of a crude bound on |Q_n * P_n| tail mass beyond x = u^2."""
     # Q_n grows like x^((2(mu+n)-1)/4) e^{2a sqrt x} times its leading
@@ -282,6 +244,71 @@ def _log_product_tail(p: Params, n: int, u: float) -> float:
                - 2.0 * (p.b - p.a) * u)
     rate = 2.0 * (p.b - p.a)
     return log_env + math.log(2.0 * (u / rate + 1.0 / rate ** 2))
+
+
+class ProductRule:
+    """Graded Gauss rule for the weighted inner products
+    integral of x^k f(x) g(x) over (0, inf), where f and g are tabulated
+    forms Q_n, P_m with n, m <= jmax.
+
+    The rule covers the oscillation window of Q_jmax and extends by 1.5x
+    until the tail bound of Q_jmax P_jmax drops below cfg.abs_tol; all
+    such products share the decay rate 2(b-a) in sqrt(x), so one node set
+    serves every pair.  The nodes are mpf (x = u^2 with Gauss-Legendre in u)
+    and `grid` holds the weight tables at them, built on first use.
+    """
+
+    def __init__(self, p: Params, jmax: int, bits: int = 200,
+                 cfg: QuadConfig = QuadConfig()):
+        rate = 2.0 * (p.b - p.a)
+        _, x_hi = mopoly.sign_change_window(p, jmax)
+        u_max = max(8.0 / rate, 2.0) * (1.0 + (p.mu + p.nu + (jmax + 1)) / 4.0)
+        u_max = max(u_max, math.sqrt(x_hi))
+        for _ in range(cfg.max_doublings):
+            if _log_product_tail(p, jmax, u_max) < math.log(cfg.abs_tol) - 5.0:
+                break
+            u_max *= 1.5
+        else:
+            raise NonConvergence("product tail bound not reached within max_doublings")
+        self.bits = bits
+        us, ws = panel_nodes_mp(u_max, max(16, int(math.ceil(u_max))), cfg.panel_order, bits)
+        with mp.workprec(bits):
+            self.xs = [u * u for u in us]
+            # weights w 2u x^power, by power
+            self._weights = {0: [w * 2 * u for w, u in zip(ws, us)]}
+        self.grid = mopoly.WeightGrid(p, jmax, self.xs, bits=bits)
+
+    def integral(self, f_vals, g_vals, power: int = 0):
+        """sum of f g w 2u x^power over the nodes, as an mpf at `bits`.
+
+        The integrands' absolute mass can exceed 1e10 where the integral
+        vanishes, so the products and the sum stay in multiprecision.
+        """
+        with mp.workprec(self.bits):
+            if power not in self._weights:
+                self._weights[power] = [w * x ** power
+                                        for w, x in zip(self._weights[0], self.xs)]
+            ws = self._weights[power]
+            return mpmath.fsum(f * g * w for f, g, w in zip(f_vals, g_vals, ws))
+
+
+def biorth_matrix(p: Params, N: int, cfg: QuadConfig = QuadConfig(),
+                  bits: int = 200) -> BiorthReport:
+    """Biorthogonality matrix by direct quadrature of Q_n * P_m.
+
+    The weight tables at the nodes are built in extended precision because
+    the basis expansions cancel catastrophically for larger n.
+    """
+    if N < 1:
+        raise DomainError("N must be >= 1")
+    rule = ProductRule(p, N - 1, bits, cfg)
+    qv = [rule.grid.q_values_mp(n) for n in range(N)]
+    pv = [rule.grid.p_values_mp(m) for m in range(N)]
+    out = np.empty((N, N))
+    for n in range(N):
+        for m in range(N):
+            out[n, m] = float(rule.integral(qv[n], pv[m]))
+    return BiorthReport(N, out)
 
 
 def q_rho_moment(p: Params, n: int, j: int) -> float:

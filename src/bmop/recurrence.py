@@ -81,6 +81,36 @@ def p_recurrence_coeffs(p: Params, n: int) -> RecurrenceCoeffs:
 _GROWTH_LIMIT = 1e10
 
 
+def _forward(evaluate, coeffs, name: str, p: Params, n_max: int, x: float,
+             precision: PrecisionConfig) -> list:
+    if n_max < 0:
+        raise DomainError("n_max must be >= 0")
+    if x <= 0:
+        raise DomainError(f"{name} requires x > 0")
+    vals = [evaluate(p, 0, x, precision)]
+    if n_max >= 1:
+        vals.append(evaluate(p, 1, x, precision))
+    growth = 1.0
+    warned = False
+    for n in range(n_max - 1):
+        c = coeffs(p, n)
+        rhs_terms = [x * vals[n], -c.a1 * vals[n + 1], -c.a0 * vals[n]]
+        if n >= 1:
+            rhs_terms.append(-c.am1 * vals[n - 1])
+        if n >= 2:
+            rhs_terms.append(-c.am2 * vals[n - 2])
+        nxt = math.fsum(rhs_terms) / c.a2
+        scale = max(abs(t) for t in rhs_terms)
+        if abs(nxt) > 0:
+            growth *= max(1.0, scale * (1.0 / c.a2) / abs(nxt))
+        if growth > _GROWTH_LIMIT and not warned:
+            warnings.warn(f"forward recurrence growth factor {growth:.2e} at n={n + 2}",
+                          PrecisionLossWarning)
+            warned = True
+        vals.append(nxt)
+    return vals[:n_max + 1]
+
+
 def q_forward(p: Params, n_max: int, x: float,
               precision: PrecisionConfig = DOUBLE) -> list:
     """Q_0(x)..Q_{n_max}(x) by forward recursion.
@@ -89,87 +119,35 @@ def q_forward(p: Params, n_max: int, x: float,
     a PrecisionLossWarning is issued once it crosses 1e10, at which point
     roughly ten digits may be gone.
     """
-    if n_max < 0:
-        raise DomainError("n_max must be >= 0")
-    if x <= 0:
-        raise DomainError("q_forward requires x > 0")
-    vals = [q_eval(p, 0, x, precision)]
-    if n_max >= 1:
-        vals.append(q_eval(p, 1, x, precision))
-    growth = 1.0
-    warned = False
-    for n in range(n_max - 1):
-        c = q_recurrence_coeffs(p, n)
-        rhs_terms = [x * vals[n], -c.a1 * vals[n + 1], -c.a0 * vals[n]]
-        if n >= 1:
-            rhs_terms.append(-c.am1 * vals[n - 1])
-        if n >= 2:
-            rhs_terms.append(-c.am2 * vals[n - 2])
-        nxt = math.fsum(rhs_terms) / c.a2
-        scale = max(abs(t) for t in rhs_terms)
-        if abs(nxt) > 0:
-            growth *= max(1.0, scale * (1.0 / c.a2) / abs(nxt))
-        if growth > _GROWTH_LIMIT and not warned:
-            warnings.warn(f"forward recurrence growth factor {growth:.2e} at n={n + 2}",
-                          PrecisionLossWarning)
-            warned = True
-        vals.append(nxt)
-    return vals[:n_max + 1]
+    return _forward(q_eval, q_recurrence_coeffs, "q_forward", p, n_max, x, precision)
 
 
 def p_forward(p: Params, n_max: int, x: float,
               precision: PrecisionConfig = DOUBLE) -> list:
     """P_0(x)..P_{n_max}(x) by forward recursion with the dual coefficients."""
-    if n_max < 0:
-        raise DomainError("n_max must be >= 0")
-    if x <= 0:
-        raise DomainError("p_forward requires x > 0")
-    vals = [p_eval(p, 0, x, precision)]
-    if n_max >= 1:
-        vals.append(p_eval(p, 1, x, precision))
-    growth = 1.0
-    warned = False
-    for n in range(n_max - 1):
-        c = p_recurrence_coeffs(p, n)
-        rhs_terms = [x * vals[n], -c.a1 * vals[n + 1], -c.a0 * vals[n]]
-        if n >= 1:
-            rhs_terms.append(-c.am1 * vals[n - 1])
-        if n >= 2:
-            rhs_terms.append(-c.am2 * vals[n - 2])
-        nxt = math.fsum(rhs_terms) / c.a2
-        scale = max(abs(t) for t in rhs_terms)
-        if abs(nxt) > 0:
-            growth *= max(1.0, scale * (1.0 / c.a2) / abs(nxt))
-        if growth > _GROWTH_LIMIT and not warned:
-            warnings.warn(f"forward recurrence growth factor {growth:.2e} at n={n + 2}",
-                          PrecisionLossWarning)
-            warned = True
-        vals.append(nxt)
-    return vals[:n_max + 1]
+    return _forward(p_eval, p_recurrence_coeffs, "p_forward", p, n_max, x, precision)
+
+
+def _residual(evaluate, coeffs, p: Params, n: int, x: float,
+              precision: PrecisionConfig) -> float:
+    c = coeffs(p, n)
+    vals = {k: (evaluate(p, k, x, precision) if k >= 0 else 0.0)
+            for k in range(n - 2, n + 3)}
+    terms = [c.a2 * vals[n + 2], c.a1 * vals[n + 1], c.a0 * vals[n],
+             c.am1 * vals[n - 1], c.am2 * vals[n - 2]]
+    lhs = x * vals[n]
+    scale = max(abs(lhs), max(abs(t) for t in terms))
+    return abs(lhs - math.fsum(terms)) / scale
 
 
 def q_residual(p: Params, n: int, x: float,
                precision: PrecisionConfig = DOUBLE) -> float:
     """|x Q_n - sum of recurrence terms| relative to the largest term,
     everything by direct evaluation."""
-    c = q_recurrence_coeffs(p, n)
-    vals = {k: (q_eval(p, k, x, precision) if k >= 0 else 0.0)
-            for k in range(n - 2, n + 3)}
-    terms = [c.a2 * vals[n + 2], c.a1 * vals[n + 1], c.a0 * vals[n],
-             c.am1 * vals[n - 1], c.am2 * vals[n - 2]]
-    lhs = x * vals[n]
-    scale = max(abs(lhs), max(abs(t) for t in terms))
-    return abs(lhs - math.fsum(terms)) / scale
+    return _residual(q_eval, q_recurrence_coeffs, p, n, x, precision)
 
 
 def p_residual(p: Params, n: int, x: float,
                precision: PrecisionConfig = DOUBLE) -> float:
     """Dual residual with the b coefficients."""
-    c = p_recurrence_coeffs(p, n)
-    vals = {k: (p_eval(p, k, x, precision) if k >= 0 else 0.0)
-            for k in range(n - 2, n + 3)}
-    terms = [c.a2 * vals[n + 2], c.a1 * vals[n + 1], c.a0 * vals[n],
-             c.am1 * vals[n - 1], c.am2 * vals[n - 2]]
-    lhs = x * vals[n]
-    scale = max(abs(lhs), max(abs(t) for t in terms))
-    return abs(lhs - math.fsum(terms)) / scale
+    return _residual(p_eval, p_recurrence_coeffs, p, n, x, precision)

@@ -10,6 +10,7 @@ K_n(x,y) = sum_{k<n} Q_k(x) P_k(y) for the weight family with parameters
 
 from __future__ import annotations
 
+import itertools
 import math
 import struct
 import warnings
@@ -168,51 +169,25 @@ def kernel_density_curve(spec: KernelSpec, grid) -> list:
     return list(zip(xs.tolist(), dens.tolist()))
 
 
-def _kernel_nodes(spec: KernelSpec, cfg: quad.QuadConfig, bits: int):
-    """Shared graded quadrature nodes covering the kernel's support."""
-    p = spec.params
-    rate = 2.0 * (p.b - p.a)
-    _, x_hi = mopoly.sign_change_window(p, spec.n - 1)
-    u_max = max(8.0 / rate, 2.0) * (1.0 + (p.mu + p.nu + spec.n) / 4.0)
-    u_max = max(u_max, math.sqrt(x_hi))
-    while quad._log_product_tail(p, spec.n - 1, u_max) >= math.log(cfg.abs_tol) - 5.0:
-        u_max *= 1.5
-    n_panels = max(16, int(math.ceil(u_max)))
-    return quad.panel_nodes_mp(u_max, n_panels, cfg.panel_order, bits)
+def _diagonal_integrals(spec: KernelSpec, cfg: quad.QuadConfig, bits: int,
+                        power: int) -> list:
+    """integral of x^power Q_k P_k for k < n as mpf, on one product rule."""
+    rule = quad.ProductRule(spec.params, spec.n - 1, bits, cfg)
+    return [rule.integral(rule.grid.q_values_mp(k), rule.grid.p_values_mp(k), power)
+            for k in range(spec.n)]
 
 
 def kernel_trace(spec: KernelSpec, cfg: quad.QuadConfig = quad.QuadConfig(),
                  bits: int = 200) -> float:
     """Integral of K_n(x, x) over (0, inf); equals n by biorthogonality."""
-    us, ws = _kernel_nodes(spec, cfg, bits)
-    p = spec.params
-    with mp.workprec(bits):
-        xs = [u * u for u in us]
-        wg = mopoly.WeightGrid(p, spec.n - 1, xs, bits=bits)
-        w2u = [w * 2 * u for w, u in zip(ws, us)]
-        total = mp.mpf(0)
-        for k in range(spec.n):
-            qv = wg.q_values_mp(k)
-            pv = wg.p_values_mp(k)
-            total += mpmath.fsum(q * r * w for q, r, w in zip(qv, pv, w2u))
-        return float(total)
+    return kernel_trace_partials(spec, cfg, bits)[-1]
 
 
 def kernel_first_moment(spec: KernelSpec, cfg: quad.QuadConfig = quad.QuadConfig(),
                         bits: int = 200) -> float:
     """Integral of x K_n(x, x) dx; equals the recurrence sum of a_{0,k}."""
-    us, ws = _kernel_nodes(spec, cfg, bits)
-    p = spec.params
     with mp.workprec(bits):
-        xs = [u * u for u in us]
-        wg = mopoly.WeightGrid(p, spec.n - 1, xs, bits=bits)
-        w2ux = [w * 2 * u * u * u for w, u in zip(ws, us)]
-        total = mp.mpf(0)
-        for k in range(spec.n):
-            qv = wg.q_values_mp(k)
-            pv = wg.p_values_mp(k)
-            total += mpmath.fsum(q * r * w for q, r, w in zip(qv, pv, w2ux))
-        return float(total)
+        return float(mpmath.fsum(_diagonal_integrals(spec, cfg, bits, 1)))
 
 
 def kernel_trace_partials(spec: KernelSpec,
@@ -223,20 +198,9 @@ def kernel_trace_partials(spec: KernelSpec,
     The trace of K_m is the cumulative sum of the diagonal integrals
     d_k = integral Q_k P_k, so all sizes up to n share one weight table.
     """
-    us, ws = _kernel_nodes(spec, cfg, bits)
-    p = spec.params
+    diagonal = _diagonal_integrals(spec, cfg, bits, 0)
     with mp.workprec(bits):
-        xs = [u * u for u in us]
-        wg = mopoly.WeightGrid(p, spec.n - 1, xs, bits=bits)
-        w2u = [w * 2 * u for w, u in zip(ws, us)]
-        total = mp.mpf(0)
-        out = []
-        for k in range(spec.n):
-            qv = wg.q_values_mp(k)
-            pv = wg.p_values_mp(k)
-            total += mpmath.fsum(q * r * w for q, r, w in zip(qv, pv, w2u))
-            out.append(float(total))
-        return out
+        return [float(t) for t in itertools.accumulate(diagonal)]
 
 
 def mean_trace_identity(spec: KernelSpec) -> float:
@@ -306,12 +270,7 @@ def _expected_counts(spec: KernelSpec, edges: np.ndarray, num_samples: int,
     """num_samples * integral of K_n(x,x) over each bin, by per-bin Gauss
     panels in the u = sqrt(x) variable on one shared weight table."""
     p = spec.params
-    u_edges = np.sqrt(edges)
-    nodes, weights = quad._gauss_rule(order)
-    half = 0.5 * (u_edges[1:] - u_edges[:-1])
-    mid = 0.5 * (u_edges[1:] + u_edges[:-1])
-    us = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
-    ws = (half[:, None] * weights[None, :]).ravel()
+    us, ws = quad.gauss_panels(np.sqrt(edges), order)
     wg = mopoly.WeightGrid(p, spec.n - 1, us * us, bits=bits)
     dens = np.zeros(len(us))
     for k in range(spec.n):
@@ -342,13 +301,16 @@ def density_compare(batch: SampleBatch, spec: KernelSpec, bins: int = 40,
     observed = np.append(observed, float(np.sum(vals >= edges[-1])))
     expected = np.append(expected, max(spec.n * batch.num_samples - expected.sum(), 1e-9))
 
-    merged_obs, merged_exp = [], []
+    # bin i spans [bounds[i], bounds[i + 1]), the overflow bin up to inf
+    bounds = np.append(edges, np.inf)
+    merged_edges, merged_obs, merged_exp = [bounds[0]], [], []
     acc_o = acc_e = 0.0
     underflow = False
-    for o, e in zip(observed, expected):
+    for i, (o, e) in enumerate(zip(observed, expected)):
         acc_o += o
         acc_e += e
         if acc_e >= min_expected:
+            merged_edges.append(bounds[i + 1])
             merged_obs.append(acc_o)
             merged_exp.append(acc_e)
             acc_o = acc_e = 0.0
@@ -356,14 +318,16 @@ def density_compare(batch: SampleBatch, spec: KernelSpec, bins: int = 40,
             underflow = True
     if acc_e > 0:
         if merged_exp:
+            merged_edges[-1] = bounds[-1]
             merged_obs[-1] += acc_o
             merged_exp[-1] += acc_e
         else:
+            merged_edges.append(bounds[-1])
             merged_obs.append(acc_o)
             merged_exp.append(acc_e)
     if underflow:
         warnings.warn("bins with expected count < threshold were merged",
                       BinUnderflowWarning)
 
-    new_edges = edges  # edges of the pre-merge grid, kept for reporting
-    return DensityReport(new_edges, np.asarray(merged_obs), np.asarray(merged_exp))
+    return DensityReport(np.asarray(merged_edges), np.asarray(merged_obs),
+                         np.asarray(merged_exp))

@@ -10,9 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import mpmath
 import numpy as np
-from mpmath import mp
 
 from . import asymptotics as asy
 from . import lommel, mellin, mopoly, quad, recurrence, rmt
@@ -172,31 +170,18 @@ def suite_recurrence(p: Params, n_max: int = 12, **kw) -> SuiteReport:
 
 def _integral_identity_error(p: Params, n_cap: int = 6) -> float:
     """max relative error of a_{i,n} = integral of x Q_n P_{n+i}."""
-    jmax = n_cap + 2
-    rate = 2.0 * (p.b - p.a)
-    _, x_hi = mopoly.sign_change_window(p, jmax)
-    u_max = max(8.0 / rate, 2.0) * (1.0 + (p.mu + p.nu + jmax) / 4.0)
-    u_max = max(u_max, math.sqrt(x_hi))
-    while quad._log_product_tail(p, jmax, u_max) >= math.log(1e-16) - 5.0:
-        u_max *= 1.5
-    us, ws = quad.panel_nodes_mp(u_max, max(16, int(math.ceil(u_max))), 40, 200)
+    rule = quad.ProductRule(p, n_cap + 2, 200, quad.QuadConfig(abs_tol=1e-16))
+    qv = [rule.grid.q_values_mp(n) for n in range(n_cap + 1)]
+    pv = [rule.grid.p_values_mp(m) for m in range(n_cap + 3)]
     worst = 0.0
-    with mp.workprec(200):
-        xs = [u * u for u in us]
-        grid = mopoly.WeightGrid(p, jmax, xs, bits=200)
-        w2ux = [w * 2 * u ** 3 for w, u in zip(ws, us)]
-        qv = {n: grid.q_values_mp(n) for n in range(n_cap + 1)}
-        for n in range(n_cap + 1):
-            c = recurrence.q_recurrence_coeffs(p, n)
-            refs = {2: c.a2, 1: c.a1, 0: c.a0, -1: c.am1, -2: c.am2}
-            for i, ref in refs.items():
-                m = n + i
-                if m < 0 or ref == 0.0:
-                    continue
-                pv = grid.p_values_mp(m)
-                integ = float(mpmath.fsum(q * r * w
-                                          for q, r, w in zip(qv[n], pv, w2ux)))
-                worst = max(worst, _rel(integ, ref))
+    for n in range(n_cap + 1):
+        c = recurrence.q_recurrence_coeffs(p, n)
+        refs = {2: c.a2, 1: c.a1, 0: c.a0, -1: c.am1, -2: c.am2}
+        for i, ref in refs.items():
+            m = n + i
+            if m < 0 or ref == 0.0:
+                continue
+            worst = max(worst, _rel(float(rule.integral(qv[n], pv[m], 1)), ref))
     return worst
 
 
@@ -375,28 +360,24 @@ def _projection_error(spec: rmt.KernelSpec, sizes=None) -> float:
     if sizes is None:
         sizes = (spec.n,)
     p = spec.params
-    us, ws = rmt._kernel_nodes(spec, quad.QuadConfig(), 200)
+    rule = quad.ProductRule(p, spec.n - 1, 200)
+    qv = [rule.grid.q_values_mp(k) for k in range(spec.n)]
+    pv = [rule.grid.p_values_mp(k) for k in range(spec.n)]
     pts = (0.5, 2.0, 6.0)
-    with mp.workprec(200):
-        xs = [u * u for u in us]
-        grid = mopoly.WeightGrid(p, spec.n - 1, xs, bits=200)
-        qv = [grid.q_values_mp(k) for k in range(spec.n)]
-        pv = [grid.p_values_mp(k) for k in range(spec.n)]
-        w2u = [w * 2 * u for w, u in zip(ws, us)]
-        # B[k][l] = integral P_k(t) Q_l(t) dt, then the projected kernel is
-        # sum_{k,l} Q_k(x) B[k][l] P_l(y)
-        B = [[mpmath.fsum(r * q * w for r, q, w in zip(pv[k], qv[l], w2u))
-              for l in range(spec.n)] for k in range(spec.n)]
-        worst = 0.0
-        for x in pts:
-            qx = [mopoly.q_eval(p, k, x, _EXT) for k in range(spec.n)]
-            for y in pts:
-                py = [mopoly.p_eval(p, l, y, _EXT) for l in range(spec.n)]
-                for m in sizes:
-                    direct = math.fsum(qx[k] * py[k] for k in range(m))
-                    proj = math.fsum(qx[k] * float(B[k][l]) * py[l]
-                                     for k in range(m) for l in range(m))
-                    worst = max(worst, _rel(proj, direct))
+    # B[k][l] = integral P_k(t) Q_l(t) dt, then the projected kernel is
+    # sum_{k,l} Q_k(x) B[k][l] P_l(y)
+    B = [[float(rule.integral(pv[k], qv[l])) for l in range(spec.n)]
+         for k in range(spec.n)]
+    worst = 0.0
+    for x in pts:
+        qx = [mopoly.q_eval(p, k, x, _EXT) for k in range(spec.n)]
+        for y in pts:
+            py = [mopoly.p_eval(p, l, y, _EXT) for l in range(spec.n)]
+            for m in sizes:
+                direct = math.fsum(qx[k] * py[k] for k in range(m))
+                proj = math.fsum(qx[k] * B[k][l] * py[l]
+                                 for k in range(m) for l in range(m))
+                worst = max(worst, _rel(proj, direct))
     return worst
 
 

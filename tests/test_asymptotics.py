@@ -108,6 +108,13 @@ class TestMehlerHeine:
                 for n in (10, 20, 40)]
         assert errs[0] > errs[1] > errs[2]
 
+    def test_generic_orders(self):
+        # shifted orders formed in double lose the non-dyadic digits of mu,
+        # nu before the cancelling sum: 1.5377 against the limit 1.0651
+        p = Params(0.3, 1.3, 0.9, 1.8)
+        lim = asy.mehler_heine_limit(p, 1.0)
+        assert abs(asy.mehler_heine_scaled_p(p, 60, 1.0) - lim) <= 2e-2 * abs(lim)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             asy.mehler_heine_g(0.5, 1.5, -1.0)

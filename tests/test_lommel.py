@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from mpmath import mp
 
 from bmop import lommel
 from bmop.errors import DomainError
 from bmop.precision import PrecisionConfig
-from bmop.specfun import Params, omega, rho
+from bmop.specfun import Params, omega, omega_mp, rho
 
 EXT = PrecisionConfig(mode="extended", mantissa_bits=300)
 P0 = Params(mu=0.5, nu=1.5, a=1.0, b=2.0)
@@ -50,6 +51,14 @@ class TestReconstruction:
                 got = lommel.rho_shift_eval(p, m, float(x))
                 ref = rho(p.nu + m, p.b, float(x), EXT).value()
                 assert got == pytest.approx(ref, rel=1e-9)
+
+    def test_omega_shift_generic_order(self):
+        # the escalated pass needs the shift coefficients of the exact
+        # order; their double rounding flipped the sign of this value
+        p = Params(0.8242870455230628, 1.3484270188289895,
+                   0.8965012353875921, 1.8306566970239424)
+        ref = float(omega_mp(mp.mpf(p.mu) + 8, p.a, 0.15, 300))
+        assert lommel.omega_shift_eval(p, 8, 0.15) == pytest.approx(ref, rel=1e-9, abs=0)
 
     @pytest.mark.parametrize("m", [2, 3, 4, 5])
     def test_sign_parity(self, m):

@@ -3,7 +3,7 @@ import math
 import pytest
 import scipy.special as sp
 
-from bmop import mopoly
+from bmop import mopoly, specfun
 from bmop.errors import DomainError
 from bmop.precision import PrecisionConfig
 from bmop.specfun import Params, omega, rho
@@ -111,3 +111,12 @@ class TestSignChanges:
 
     def test_profile_matches(self):
         assert mopoly.sign_change_profile(P1, 5) == [0, 1, 2, 3, 4, 5]
+
+    def test_counting_needs_no_second_kind_table(self, monkeypatch):
+        # Q_n reads only the first-kind weights, so the K table stays unbuilt
+        def fail(*args, **kwargs):
+            raise AssertionError("second-kind Bessel function evaluated")
+
+        monkeypatch.setattr(specfun, "besselk_mp", fail)
+        assert mopoly.sign_change_profile(P1, 4, grid_points=256) == [0, 1, 2, 3, 4]
+        assert mopoly.count_sign_changes(P1, 3, grid_points=256) == 3

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bmop import quad
-from bmop.errors import DomainError
+from bmop.errors import DomainError, NonConvergence
 from bmop.specfun import Params
 
 P0 = Params(mu=0.5, nu=1.5, a=1.0, b=2.0)
@@ -21,6 +21,17 @@ class TestHalfLine:
         # integral of x^2.5 e^(-x) dx = Gamma(3.5)
         got = quad.integrate_half_line(lambda x: x ** 2.5 * np.exp(-x), 1.0)
         assert got == pytest.approx(math.gamma(3.5), rel=1e-10)
+
+    def test_vectorized_integrand_error_propagates(self):
+        # only a failed vectorized call falls back to the scalar loop; a
+        # numerical failure inside the integrand must surface
+        def f(x):
+            if isinstance(x, np.ndarray):
+                raise NonConvergence("inner iteration failed")
+            return math.exp(-x)
+
+        with pytest.raises(NonConvergence):
+            quad.integrate_half_line(f, 1.0)
 
 
 class TestMoments:
@@ -64,6 +75,13 @@ class TestBiorthogonality:
                 val = quad.q_rho_moment(P0, n, j)
                 scale = quad.q_rho_moment_scale(P0, n, j)
                 assert abs(val) <= 1e-12 * scale
+
+
+class TestProductRule:
+    def test_tail_bound_unreachable(self):
+        cfg = quad.QuadConfig(abs_tol=1e-300, max_doublings=2)
+        with pytest.raises(NonConvergence):
+            quad.ProductRule(P0, 2, cfg=cfg)
 
 
 class TestConfig:

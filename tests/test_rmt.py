@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bmop import mopoly, rmt
+from bmop import mopoly, quad, rmt
 from bmop.errors import DimensionError, DomainError
 
 SPEC = rmt.KernelSpec(kappa=0, nu_total=2.0, alpha=0.5, beta=1.5, n=2)
@@ -61,6 +61,11 @@ class TestKernel:
 
     def test_trace(self):
         assert rmt.kernel_trace(SPEC) == pytest.approx(2.0, abs=1e-8)
+
+    def test_trace_is_last_partial(self):
+        cfg = quad.QuadConfig(panel_order=14, abs_tol=1e-11)
+        assert (rmt.kernel_trace(SPEC, cfg, 96)
+                == rmt.kernel_trace_partials(SPEC, cfg, 96)[-1])
 
     def test_trace_partials(self):
         traces = rmt.kernel_trace_partials(
@@ -123,6 +128,10 @@ class TestDensityCompare:
         assert rep.p_value > 1e-3
         assert rep.dof >= 1
         assert rep.observed.sum() == pytest.approx(2 * 20000, abs=0.5)
+        # one edge per merged bin boundary, the overflow bin closed by inf
+        assert len(rep.bin_edges) == len(rep.observed) + 1
+        assert np.all(np.diff(rep.bin_edges) > 0)
+        assert rep.bin_edges[-1] == np.inf
 
     def test_size_mismatch(self):
         m = rmt.CoupledModel(n=2, M=4, tau=0.5, seed=17)

@@ -199,11 +199,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DomainError, DimensionError, PoleError, CapExceeded, ValueError) as exc:
+    except (DomainError, DimensionError, PoleError, CapExceeded) as exc:
         print(f"bmop: parameter error: {exc}", file=sys.stderr)
         return 2
-    except (NonConvergence, SymmetryViolation, OverflowError,
-            ZeroDivisionError) as exc:
+    except (NonConvergence, SymmetryViolation, OverflowError, ZeroDivisionError,
+            ValueError) as exc:
         print(f"bmop: numerical failure: {exc}", file=sys.stderr)
         return 3
     except BmopError as exc:

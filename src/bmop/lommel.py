@@ -17,7 +17,7 @@ from mpmath import mp
 from .errors import DomainError
 from .mopoly import _horner
 from .precision import DOUBLE, PrecisionConfig
-from .specfun import Params, omega, omega_mp, pochhammer, rho, rho_mp
+from .specfun import Params, omega, omega_ladder_mp, pochhammer, rho, rho_ladder_mp
 
 
 @dataclass(frozen=True)
@@ -64,7 +64,7 @@ def shift_pair(order_base: float, m: int) -> ShiftPair:
 
 
 def _shift_eval_mp(m: int, base_order: float, scale: float,
-                   weight_mp, x: float, bits: int) -> float:
+                   ladder_mp, x: float, bits: int) -> float:
     """Exact-coefficient reconstruction at working precision `bits`.
 
     The pair is rebuilt from the mpf order: the double coefficients carry
@@ -76,15 +76,14 @@ def _shift_eval_mp(m: int, base_order: float, scale: float,
         sc = mp.mpf(scale)
         xm = mp.mpf(x)
         arg = sc * sc * xm
-        w0 = weight_mp(base, abs(scale), xm, bits)
-        w1 = weight_mp(base + 1, abs(scale), xm, bits)
+        w0, w1 = ladder_mp(base, abs(scale), xm, 1, bits)
         r = mpmath.fsum(c * arg ** k for k, c in enumerate(pair.r_poly))
         s = mpmath.fsum(c * arg ** k for k, c in enumerate(pair.s_poly))
         return float(sc ** (-pair.m) * r * w0 + sc ** (1 - pair.m) * s * w1)
 
 
 def _shift_combine(pair: ShiftPair, base_order: float, scale: float,
-                   w0: float, w1: float, weight_mp, x: float) -> float:
+                   w0: float, w1: float, ladder_mp, x: float) -> float:
     """Combine the two-term reconstruction, escalating to multiprecision when
     the terms cancel.
 
@@ -105,7 +104,7 @@ def _shift_combine(pair: ShiftPair, base_order: float, scale: float,
     if ratio < 1e3:
         return total
     bits = 64 + int(math.log2(ratio)) + 16
-    return _shift_eval_mp(pair.m, base_order, scale, weight_mp, x, bits)
+    return _shift_eval_mp(pair.m, base_order, scale, ladder_mp, x, bits)
 
 
 def omega_shift_eval(p: Params, m: int, x: float,
@@ -117,8 +116,7 @@ def omega_shift_eval(p: Params, m: int, x: float,
     a = p.a
     w0 = omega(p.mu, a, x, precision).value()
     w1 = omega(p.mu + 1, a, x, precision).value()
-    return _shift_combine(pair, p.mu, a, w0, w1,
-                          lambda mu, sc, xm, bits: omega_mp(mu, sc, xm, bits), x)
+    return _shift_combine(pair, p.mu, a, w0, w1, omega_ladder_mp, x)
 
 
 def rho_shift_eval(p: Params, m: int, x: float,
@@ -135,5 +133,4 @@ def rho_shift_eval(p: Params, m: int, x: float,
     b = p.b
     r0 = rho(p.nu, b, x, precision).value()
     r1 = rho(p.nu + 1, b, x, precision).value()
-    return _shift_combine(pair, p.nu, -b, r0, r1,
-                          lambda nu, sc, xm, bits: rho_mp(nu, sc, xm, bits), x)
+    return _shift_combine(pair, p.nu, -b, r0, r1, rho_ladder_mp, x)

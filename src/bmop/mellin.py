@@ -22,6 +22,7 @@ from .specfun import Params, pochhammer
 from dataclasses import dataclass
 
 _T_CAP = 400.0
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -84,10 +85,13 @@ def mb_integrate(integrand, cfg: ContourConfig = ContourConfig(),
         raise NonConvergence("integrand produced non-finite values on the contour")
 
     total = complex(np.dot(ws, vals)) / (2.0 * math.pi)
-    scale = max(abs(total), cfg.tolerance)
-    if abs(total.imag) > 1e-10 * scale:
+    # rounding floor of a cancelling N-term sum: N eps sum|w f| (Higham,
+    # Accuracy and Stability of Numerical Algorithms, sec. 4.2)
+    mass = float(np.dot(np.abs(ws), np.abs(vals))) / (2.0 * math.pi)
+    floor = max(1e-10 * max(abs(total), cfg.tolerance), ts.size * _EPS * mass)
+    if abs(total.imag) > floor:
         raise SymmetryViolation(
-            f"imaginary residual {total.imag:.3e} vs magnitude {scale:.3e}")
+            f"imaginary residual {total.imag:.3e} vs floor {floor:.3e}")
     return total.real
 
 

@@ -9,7 +9,7 @@ cross-validate each other:
 
 Alternating coefficient sums cancel catastrophically near the zeros of the
 forms; evaluations monitor the max-term/result ratio and escalate to
-extended precision automatically when it exceeds 1e12 (or when n > 30).
+extended precision automatically when it exceeds 1e5 (or when n > 30).
 """
 
 from __future__ import annotations
@@ -26,10 +26,11 @@ from mpmath import mp
 from .errors import BmopError, CapExceeded, DomainError, NonConvergence, PrecisionLossWarning
 from .precision import DOUBLE, LogValue, PrecisionConfig, logsum
 from . import specfun
-from .specfun import (Params, log_gamma, log_gamma_ratio, omega, omega_mp, pochhammer,
-                      rho, rho_mp)
+from .specfun import Params, log_gamma, log_gamma_ratio, omega, pochhammer, rho
 
-_ESCALATION_RATIO = 1e12
+# a double term carries a few 1e-15 of rounding, which cancellation scales
+# by the ratio: 1e5 keeps the loss below the routes' 1e-9 agreement
+_ESCALATION_RATIO = 1e5
 _ESCALATION_DEGREE = 30
 DET_CAP_DOUBLE = 10
 DET_CAP_EXTENDED = 30
@@ -143,68 +144,44 @@ def _escalation_bits(ratio: float, n: int) -> int:
     return min(53 + lost + 48, 4000)
 
 
-def _q_eval_mp(p: Params, n: int, x: float, bits: int) -> float:
-    with mp.workprec(bits):
-        coeffs = _q_coeffs_mp(p, n)
-        total = mp.mpf(0)
-        for j, c in enumerate(coeffs):
-            total += c * omega_mp(mp.mpf(p.mu) + j, p.a, x, bits)
-        return float(total)
-
-
-def _p_eval_mp(p: Params, n: int, x: float, bits: int) -> float:
-    with mp.workprec(bits):
-        coeffs = _p_coeffs_mp(p, n)
-        total = mp.mpf(0)
-        for j, d in enumerate(coeffs):
-            total += d * rho_mp(mp.mpf(p.nu) + j, p.b, x, bits)
-        return float(total)
-
-
-def _eval_with_escalation(term_logs, mp_fallback, n: int, precision: PrecisionConfig,
-                          label: str) -> float:
+def _expansion_eval(label: str, p: Params, n: int, x: float, precision: PrecisionConfig,
+                    coeff_logs, weight, coeffs_mp, ladder_mp, order, scale) -> float:
+    """sum_j c_j w_{order+j}(x) for either family: a double pass over the
+    coefficient logs, or one order ladder in extended precision when that is
+    asked for, n > 30, or the double terms cancel."""
+    if x <= 0:
+        raise DomainError(f"{label} requires x > 0")
+    if n < 0:
+        raise DomainError("n must be >= 0")
     if precision.extended:
-        return mp_fallback(max(precision.mantissa_bits, 64))
-    total = logsum(term_logs)
-    live = [t for t in term_logs if t.sign != 0]
-    max_mag = math.exp(max(t.log_magnitude for t in live)) if live else 0.0
-    ratio = math.inf if total == 0.0 else max_mag / abs(total)
-    if n > _ESCALATION_DEGREE or ratio > _ESCALATION_RATIO or not math.isfinite(total):
+        bits = max(precision.mantissa_bits, 64)
+    else:
+        terms = ([c * weight(order + j, scale, x) for j, c in enumerate(coeff_logs(p, n))]
+                 if n <= _ESCALATION_DEGREE else [])
+        total = logsum(terms)
+        live = [t for t in terms if t.sign != 0]
+        max_mag = math.exp(max(t.log_magnitude for t in live)) if live else 0.0
+        ratio = math.inf if total == 0.0 else max_mag / abs(total)
+        if n <= _ESCALATION_DEGREE and ratio <= _ESCALATION_RATIO and math.isfinite(total):
+            return total
         warnings.warn(
             f"{label}: cancellation ratio {ratio:.2e} at n={n}; escalating to extended precision",
             PrecisionLossWarning, stacklevel=3)
-        return mp_fallback(_escalation_bits(ratio, n))
-    return total
+        bits = _escalation_bits(ratio, n)
+    with mp.workprec(bits):
+        return float(mp.fdot(coeffs_mp(p, n), ladder_mp(order, scale, x, n, bits)))
 
 
 def q_eval(p: Params, n: int, x: float, precision: PrecisionConfig = DOUBLE) -> float:
     """Q_n(x) from the basis expansion over shifted first-kind weights."""
-    if x <= 0:
-        raise DomainError("q_eval requires x > 0")
-    if n < 0:
-        raise DomainError("n must be >= 0")
-    if not precision.extended and n <= _ESCALATION_DEGREE:
-        logs = _q_coeff_logs(p, n)
-        terms = [c * omega(p.mu + j, p.a, x) for j, c in enumerate(logs)]
-    else:
-        terms = []
-    return _eval_with_escalation(terms, lambda bits: _q_eval_mp(p, n, x, bits),
-                                 n, precision, "q_eval")
+    return _expansion_eval("q_eval", p, n, x, precision, _q_coeff_logs, omega,
+                           _q_coeffs_mp, specfun.omega_ladder_mp, p.mu, p.a)
 
 
 def p_eval(p: Params, n: int, x: float, precision: PrecisionConfig = DOUBLE) -> float:
     """P_n(x) from the basis expansion over shifted second-kind weights."""
-    if x <= 0:
-        raise DomainError("p_eval requires x > 0")
-    if n < 0:
-        raise DomainError("n must be >= 0")
-    if not precision.extended and n <= _ESCALATION_DEGREE:
-        logs = _p_coeff_logs(p, n)
-        terms = [d * rho(p.nu + j, p.b, x) for j, d in enumerate(logs)]
-    else:
-        terms = []
-    return _eval_with_escalation(terms, lambda bits: _p_eval_mp(p, n, x, bits),
-                                 n, precision, "p_eval")
+    return _expansion_eval("p_eval", p, n, x, precision, _p_coeff_logs, rho,
+                           _p_coeffs_mp, specfun.rho_ladder_mp, p.nu, p.b)
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +240,8 @@ def q_eval_determinant(p: Params, n: int, x: float,
         for i in range(n):
             g0 = mpmath.gamma(base + i)
             rows.append([mpmath.gamma(base + i + j) / g0 for j in range(n + 1)])
-        rows.append([scale ** j * omega_mp(mu + j, p.a, x, bits) for j in range(n + 1)])
+        weights = specfun.omega_ladder_mp(mu, p.a, x, n, bits)
+        rows.append([scale ** j * w for j, w in enumerate(weights)])
         det = _det_full_pivot(rows)
         # row scaling cancels Gamma(base+k) in the stated normalizer,
         # leaving prod k!
@@ -285,11 +263,12 @@ def p_eval_determinant(p: Params, n: int, x: float,
         nu = mp.mpf(p.nu)
         base = nu + p.mu + 1
         scale = mp.mpf(p.gap) / p.b
+        weights = specfun.rho_ladder_mp(nu, p.b, x, n, bits)
         rows = []
         for i in range(n + 1):
             g0 = mpmath.gamma(base + i)
             row = [mpmath.gamma(base + i + j) / g0 for j in range(n)]
-            row.append(scale ** i * rho_mp(nu + i, p.b, x, bits) / g0)
+            row.append(scale ** i * weights[i] / g0)
             rows.append(row)
         det = _det_full_pivot(rows)
         for k in range(n):
@@ -518,70 +497,36 @@ class WeightGrid:
         with mp.workprec(bits + 20):
             self._xs_mp = [mp.mpf(x) for x in xs]
 
-    # two base Bessel evaluations per node, the rest of the order ladder by
-    # three-term recurrence: downward in order for I (the stable direction)
-    # and upward for K
+    # one order ladder per node, columns transposed to tab[j][k]
 
     @cached_property
     def omega_tab(self) -> list:
         """omega_tab[j][k] = omega_{mu+j,a}(xs[k]) for j <= jmax."""
-        p, jmax = self.params, self.jmax
-        with mp.workprec(self.bits + 20):
-            tab = [[None] * len(self._xs_mp) for _ in range(jmax + 1)]
-            mu_mp = mp.mpf(p.mu)
-            for k, x in enumerate(self._xs_mp):
-                s = mpmath.sqrt(x)
-                zi = 2 * p.a * s
-                ladder = [mp.mpf(0)] * (jmax + 2)
-                ladder[jmax + 1] = mpmath.besseli(mu_mp + jmax + 1, zi)
-                ladder[jmax] = mpmath.besseli(mu_mp + jmax, zi)
-                for j in range(jmax - 1, -1, -1):
-                    ladder[j] = ladder[j + 2] + 2 * (mu_mp + j + 1) / zi * ladder[j + 1]
-                pw = x ** (mu_mp / 2)
-                for j in range(jmax + 1):
-                    tab[j][k] = pw * ladder[j]
-                    pw *= s
-        return tab
+        p = self.params
+        return list(zip(*(specfun.omega_ladder_mp(p.mu, p.a, x, self.jmax, self.bits)
+                          for x in self._xs_mp)))
 
     @cached_property
     def rho_tab(self) -> list:
         """rho_tab[j][k] = rho_{nu+j,b}(xs[k]) for j <= jmax."""
-        p, jmax, bits = self.params, self.jmax, self.bits + 20
-        with mp.workprec(bits):
-            tab = [[None] * len(self._xs_mp) for _ in range(jmax + 1)]
-            nu_mp = mp.mpf(p.nu)
-            for k, x in enumerate(self._xs_mp):
-                s = mpmath.sqrt(x)
-                zk = 2 * p.b * s
-                k0 = specfun.besselk_mp(nu_mp, zk, bits)
-                k1 = specfun.besselk_mp(nu_mp + 1, zk, bits)
-                pw = x ** (nu_mp / 2)
-                tab[0][k] = pw * k0
-                if jmax >= 1:
-                    tab[1][k] = pw * s * k1
-                prev, cur = k0, k1
-                pw = pw * s
-                for j in range(2, jmax + 1):
-                    prev, cur = cur, prev + 2 * (nu_mp + j - 1) / zk * cur
-                    pw *= s
-                    tab[j][k] = pw * cur
-        return tab
+        p = self.params
+        return list(zip(*(specfun.rho_ladder_mp(p.nu, p.b, x, self.jmax, self.bits)
+                          for x in self._xs_mp)))
+
+    def _values_mp(self, n: int, coeffs_mp, family: str) -> list:
+        if n > self.jmax:
+            raise CapExceeded("grid built for smaller jmax")
+        tab = getattr(self, family)
+        with mp.workprec(self.bits):
+            coeffs = coeffs_mp(self.params, n)
+            return [mpmath.fsum(coeffs[j] * tab[j][k] for j in range(n + 1))
+                    for k in range(len(self.xs))]
 
     def q_values_mp(self, n: int) -> list:
-        if n > self.jmax:
-            raise CapExceeded("grid built for smaller jmax")
-        with mp.workprec(self.bits):
-            coeffs = _q_coeffs_mp(self.params, n)
-            return [mpmath.fsum(coeffs[j] * self.omega_tab[j][k] for j in range(n + 1))
-                    for k in range(len(self.xs))]
+        return self._values_mp(n, _q_coeffs_mp, "omega_tab")
 
     def p_values_mp(self, n: int) -> list:
-        if n > self.jmax:
-            raise CapExceeded("grid built for smaller jmax")
-        with mp.workprec(self.bits):
-            coeffs = _p_coeffs_mp(self.params, n)
-            return [mpmath.fsum(coeffs[j] * self.rho_tab[j][k] for j in range(n + 1))
-                    for k in range(len(self.xs))]
+        return self._values_mp(n, _p_coeffs_mp, "rho_tab")
 
     def q_values(self, n: int) -> np.ndarray:
         return np.array([float(v) for v in self.q_values_mp(n)])

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import math
 import os
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import mpmath
 from mpmath import mp
+
+from .errors import DomainError
 
 
 @dataclass(frozen=True)
@@ -24,9 +25,9 @@ class PrecisionConfig:
 
     def __post_init__(self):
         if self.mode not in ("double", "extended"):
-            raise ValueError(f"unknown precision mode {self.mode!r}")
+            raise DomainError(f"unknown precision mode {self.mode!r}")
         if self.mode == "extended" and self.mantissa_bits < 64:
-            raise ValueError("extended mode requires mantissa_bits >= 64")
+            raise DomainError("extended mode requires mantissa_bits >= 64")
 
     @property
     def extended(self) -> bool:
@@ -48,15 +49,10 @@ def from_env(default: PrecisionConfig = DOUBLE) -> PrecisionConfig:
     if raw == "extended":
         return EXTENDED
     if raw.startswith("extended:"):
-        return PrecisionConfig(mode="extended", mantissa_bits=int(raw.split(":", 1)[1]))
-    raise ValueError(f"bad BMOP_PRECISION value {raw!r}")
-
-
-@contextmanager
-def workprec(bits: int):
-    """mpmath precision context (bits of mantissa)."""
-    with mp.workprec(bits):
-        yield mp
+        digits = raw.split(":", 1)[1].strip()
+        if digits.isdigit():
+            return PrecisionConfig(mode="extended", mantissa_bits=int(digits))
+    raise DomainError(f"bad BMOP_PRECISION value {raw!r}")
 
 
 @dataclass(frozen=True)

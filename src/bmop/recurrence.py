@@ -29,9 +29,6 @@ class RecurrenceCoeffs:
     am1: float
     am2: float
 
-    def as_tuple(self) -> tuple:
-        return (self.a2, self.a1, self.a0, self.am1, self.am2)
-
 
 def q_recurrence_coeffs(p: Params, n: int) -> RecurrenceCoeffs:
     """Closed-form coefficients of the Q recurrence at index n.

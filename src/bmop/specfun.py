@@ -3,8 +3,10 @@ the scaled weights w_mu (first kind, growing) and r_nu (second kind,
 decaying) that everything downstream is built from.
 
 Double mode is backed by scipy.special (exponentially scaled ive/kve so the
-log-magnitude never overflows); extended mode is backed by mpmath at the
-configured mantissa width.
+log-magnitude never overflows).  Extended mode has one evaluator per family,
+besseli_mp and besselk_mp; every shifted order comes from two of their
+values by the three-term recurrence, run in each family's stable direction
+(omega_ladder_mp, rho_ladder_mp).
 """
 
 from __future__ import annotations
@@ -89,7 +91,7 @@ def bessel_i(mu: float, z: float, precision: PrecisionConfig = DOUBLE) -> LogVal
         return LogValue(math.inf, 1)  # -1 < mu < 0 diverges at 0
     if precision.extended:
         with mp.workprec(precision.mantissa_bits):
-            return LogValue.from_mpf(mpmath.besseli(mu, z))
+            return LogValue.from_mpf(besseli_mp(mu, z, precision.mantissa_bits))
     scaled = float(sp.ive(mu, z))  # I_mu(z) * exp(-z)
     if scaled > 0 and math.isfinite(scaled):
         return LogValue(math.log(scaled) + z, 1)
@@ -106,7 +108,7 @@ def bessel_k(nu: float, z: float, precision: PrecisionConfig = DOUBLE) -> LogVal
         raise DomainError("bessel_k requires z > 0")
     if precision.extended:
         with mp.workprec(precision.mantissa_bits):
-            return LogValue.from_mpf(mpmath.besselk(nu, z))
+            return LogValue.from_mpf(besselk_mp(nu, z, precision.mantissa_bits))
     scaled = float(sp.kve(nu, z))  # K_nu(z) * exp(z)
     return LogValue(math.log(scaled) - z, 1)
 
@@ -148,14 +150,14 @@ def omega_mp(mu, a, x, bits: int = 200):
     """Extended-precision first-kind weight as an mpf (internal helper)."""
     with mp.workprec(bits):
         x = mp.mpf(x)
-        return x ** (mp.mpf(mu) / 2) * mpmath.besseli(mu, 2 * mp.mpf(a) * mpmath.sqrt(x))
+        return x ** (mp.mpf(mu) / 2) * besseli_mp(mu, 2 * mp.mpf(a) * mpmath.sqrt(x), bits)
 
 
 def rho_mp(nu, b, x, bits: int = 200):
     """Extended-precision second-kind weight as an mpf (internal helper)."""
     with mp.workprec(bits):
         x = mp.mpf(x)
-        return x ** (mp.mpf(nu) / 2) * mpmath.besselk(nu, 2 * mp.mpf(b) * mpmath.sqrt(x))
+        return x ** (mp.mpf(nu) / 2) * besselk_mp(nu, 2 * mp.mpf(b) * mpmath.sqrt(x), bits)
 
 
 def _besselk_asymptotic(nu, z, bits: int):
@@ -224,6 +226,54 @@ def besselk_mp(nu, z, bits: int = 200):
                 return _besselk_asymptotic(nu, z, bits)
             return _besselk_int_series(int(n), z, bits)
         return mpmath.besselk(nu, z)
+
+
+def besseli_mp(mu, z, bits: int = 200):
+    """I_mu(z) as an mpf at the requested precision."""
+    with mp.workprec(bits):
+        return mpmath.besseli(mu, z)
+
+
+# Order ladders: two Bessel values per point, the other orders by the
+# three-term recurrence in its stable direction (W. Gautschi, SIAM Rev. 9
+# (1967) 24-82): downward for I, upward for K.  Both work at bits + 20.
+
+def omega_ladder_mp(mu, a, x, jmax: int, bits: int = 200) -> list:
+    """[omega_{mu+j,a}(x) for j = 0..jmax] as mpfs, from I at the top pair."""
+    with mp.workprec(bits + 20):
+        x = mp.mpf(x)
+        mu = mp.mpf(mu)
+        s = mpmath.sqrt(x)
+        z = 2 * a * s
+        ladder = [mp.mpf(0)] * (jmax + 2)
+        ladder[jmax + 1] = besseli_mp(mu + jmax + 1, z, bits + 20)
+        ladder[jmax] = besseli_mp(mu + jmax, z, bits + 20)
+        for j in range(jmax - 1, -1, -1):
+            ladder[j] = ladder[j + 2] + 2 * (mu + j + 1) / z * ladder[j + 1]
+        out = []
+        pw = x ** (mu / 2)
+        for j in range(jmax + 1):
+            out.append(pw * ladder[j])
+            pw *= s
+        return out
+
+
+def rho_ladder_mp(nu, b, x, jmax: int, bits: int = 200) -> list:
+    """[rho_{nu+j,b}(x) for j = 0..jmax] as mpfs, from K at the base pair."""
+    with mp.workprec(bits + 20):
+        x = mp.mpf(x)
+        nu = mp.mpf(nu)
+        s = mpmath.sqrt(x)
+        z = 2 * b * s
+        ladder = [besselk_mp(nu, z, bits + 20), besselk_mp(nu + 1, z, bits + 20)]
+        for j in range(2, jmax + 1):
+            ladder.append(ladder[j - 2] + 2 * (nu + j - 1) / z * ladder[j - 1])
+        out = []
+        pw = x ** (nu / 2)
+        for j in range(jmax + 1):
+            out.append(pw * ladder[j])
+            pw *= s
+        return out
 
 
 def hyp_terminating(kind: str, numerator, denominator, z: float,

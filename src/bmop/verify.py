@@ -10,7 +10,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import mpmath
 import numpy as np
+from mpmath import mp
 
 from . import asymptotics as asy
 from . import lommel, mellin, mopoly, quad, recurrence, rmt
@@ -232,25 +234,28 @@ def suite_limits(p: Params, **kw) -> SuiteReport:
     k, n = 1.0, 3
     xs = (0.5, 1.0, 2.0)
     lims = [asy.q_limit_small_a(k, mu, nu, n, x) for x in xs]
-    scale = max(abs(v) for v in lims)
+    scale = _worst(abs(v) for v in lims)
     errs = []
     for a in (1e-2, 1e-3, 1e-4):
         pa = Params(mu, nu, a, k * math.sqrt(a))
-        errs.append(max(abs(mopoly.q_eval(pa, n, x / a, _EXT) - l) / scale
-                        for x, l in zip(xs, lims)))
+        errs.append(_worst(abs(mopoly.q_eval(pa, n, x / a, _EXT) - l) / scale
+                           for x, l in zip(xs, lims)))
     checks.append(CheckResult("small_a_monotone", _monotone_excess(errs), 0.0))
     checks.append(CheckResult("small_a_final", errs[-1], 1e-2))
 
-    # large a, b = a + c
+    # large a, b = a + c; Q_n(x^2) ~ e^(2ax) leaves double range at
+    # a = 200, x = 2, so the scaled values are formed in mp
     c, n = 1.0, 2
     lims = [asy.q_limit_large_a(c, mu, nu, n, x) for x in xs]
-    scale = max(abs(v) for v in lims)
+    scale = _worst(abs(v) for v in lims)
     errs = []
     for a in (50.0, 100.0, 200.0):
-        pa = Params(mu, nu, a, a + c)
-        vals = [2.0 * math.sqrt(math.pi * a) * math.exp(-2.0 * a * x)
-                * mopoly.q_eval(pa, n, x * x, _EXT) for x in xs]
-        errs.append(max(abs(v - l) / scale for v, l in zip(vals, lims)))
+        grid = mopoly.WeightGrid(Params(mu, nu, a, a + c), n, [x * x for x in xs],
+                                 bits=_EXT.mantissa_bits)
+        with mp.workprec(_EXT.mantissa_bits):
+            vals = [float(2 * mpmath.sqrt(mp.pi * a) * mpmath.exp(-2 * a * mp.mpf(x)) * q)
+                    for x, q in zip(xs, grid.q_values_mp(n))]
+        errs.append(_worst(abs(v - l) / scale for v, l in zip(vals, lims)))
     checks.append(CheckResult("large_a_monotone", _monotone_excess(errs), 0.0))
     checks.append(CheckResult("large_a_final", errs[-1], 1e-2))
 
@@ -261,38 +266,41 @@ def suite_limits(p: Params, **kw) -> SuiteReport:
         for b in (50.0, 100.0, 200.0):
             pb = Params(mu, nu, b - c, b)
             lims = [asy.p_limit_large_b(c, pb, n, x) for x in bx]
-            scale = max(abs(v) for v in lims)
+            scale = _worst(abs(v) for v in lims)
             vals = [math.sqrt(4.0 * b / math.pi) * math.exp(2.0 * b * x)
                     * mopoly.p_eval(pb, n, x * x, _EXT) for x in bx]
-            errs.append(max(abs(v - l) / scale for v, l in zip(vals, lims)))
+            errs.append(_worst(abs(v - l) / scale for v, l in zip(vals, lims)))
         checks.append(CheckResult(f"large_b_monotone_n{n}",
                                   _monotone_excess(errs), 0.0))
         checks.append(CheckResult(f"large_b_final_n{n}", errs[-1], 1e-2))
 
     # value at the origin
-    worst = 0.0
-    for n in range(9):
-        worst = max(worst, _rel(mopoly.p_eval(p, n, 1e-10, _EXT),
-                                asy.p_at_zero(p, n)))
+    worst = _worst(_rel(mopoly.p_eval(p, n, 1e-10, _EXT), asy.p_at_zero(p, n))
+                   for n in range(9))
     checks.append(CheckResult("p_at_zero", worst, 1e-6))
 
     # Mehler-Heine; x = 5 sits near a zero of the Meijer-G curve, so error
     # is measured against the sup of the curve over the grid
     mh_xs = (0.1, 0.5, 1.0, 2.0, 5.0)
     lims = [asy.mehler_heine_limit(p, x) for x in mh_xs]
-    scale = max(abs(v) for v in lims)
+    scale = _worst(abs(v) for v in lims)
     errs = []
     for n in (20, 40, 80):
-        errs.append(max(abs(asy.mehler_heine_scaled_p(p, n, x) - l) / scale
-                        for x, l in zip(mh_xs, lims)))
+        errs.append(_worst(abs(asy.mehler_heine_scaled_p(p, n, x) - l) / scale
+                           for x, l in zip(mh_xs, lims)))
     checks.append(CheckResult("mehler_heine_monotone", _monotone_excess(errs), 0.0))
     checks.append(CheckResult("mehler_heine_final", errs[-1], 2e-2))
     return SuiteReport("limits", checks)
 
 
+def _worst(values) -> float:
+    """Largest value; a nan anywhere makes the result nan, so it fails."""
+    return float(np.max(list(values)))
+
+
 def _monotone_excess(errs) -> float:
     """0 when the sequence strictly decreases, else the worst increase."""
-    return max([0.0] + [errs[i + 1] - errs[i] for i in range(len(errs) - 1)])
+    return _worst([0.0] + [errs[i + 1] - errs[i] for i in range(len(errs) - 1)])
 
 
 def suite_mellin(p: Params, **kw) -> SuiteReport:

@@ -5,6 +5,7 @@ import sys
 import pytest
 import scipy.special as sp
 
+from bmop import cli
 from bmop.cli import main
 
 
@@ -43,6 +44,23 @@ class TestEval:
         code = main(["eval", "--kind", "A1", "--preset", "S0",
                      "--n", "0", "--x", "1"])
         assert code == 2
+
+    def test_bad_precision_env_exit2(self, capsys, monkeypatch):
+        monkeypatch.setenv("BMOP_PRECISION", "extended:xx")
+        code = main(["eval", "--kind", "Q", "--preset", "S0", "--n", "1", "--x", "1"])
+        assert code == 2
+        assert "BMOP_PRECISION" in capsys.readouterr().err
+
+    def test_numerical_value_error_exit3(self, capsys, monkeypatch):
+        # a ValueError from numpy or mpmath is a numerical failure, not a
+        # parameter error
+        def fail(*args, **kwargs):
+            raise ValueError("math domain error")
+
+        monkeypatch.setattr(cli.mopoly, "q_eval", fail)
+        code = main(["eval", "--kind", "Q", "--preset", "S0", "--n", "1", "--x", "1"])
+        assert code == 3
+        assert "numerical failure" in capsys.readouterr().err
 
 
 class TestVerify:

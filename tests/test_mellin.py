@@ -73,6 +73,18 @@ class TestPMellin:
         with pytest.raises(DomainError):
             mellin.p_mellin_eval(P0, 41, 1.0)
 
+    @pytest.mark.parametrize("p,x", [
+        (P0, 7.960262559627996),
+        (Params(0.5, 1.5, 0.9098879818288075, 1.8895432308789497), 17.55172045457327),
+    ])
+    def test_small_value_is_not_a_symmetry_fault(self, p, x):
+        # |P_10| is ~1e-9 of the contour mass here, so the imaginary
+        # rounding residual sits far above 1e-10 |P_10| but below the
+        # summation floor
+        got = mellin.p_mellin_eval(p, 10, x)
+        ref = mopoly.p_eval(p, 10, x, EXT)
+        assert got == pytest.approx(ref, rel=1e-8)
+
 
 class TestMeijerG:
     @pytest.mark.parametrize("mu,nu", [(0.5, 1.5), (0.0, 0.7), (1.2, 2.3)])

@@ -1,10 +1,11 @@
 import math
 
+import mpmath
 import pytest
 import scipy.special as sp
 
 from bmop import mopoly, specfun
-from bmop.errors import DomainError
+from bmop.errors import DomainError, PrecisionLossWarning
 from bmop.precision import PrecisionConfig
 from bmop.specfun import Params, omega, rho
 
@@ -120,3 +121,30 @@ class TestSignChanges:
         monkeypatch.setattr(specfun, "besselk_mp", fail)
         assert mopoly.sign_change_profile(P1, 4, grid_points=256) == [0, 1, 2, 3, 4]
         assert mopoly.count_sign_changes(P1, 3, grid_points=256) == 3
+
+
+def test_extended_p_takes_one_k_pair(monkeypatch):
+    # the rho ladder evaluates K at the base pair only; every other order
+    # comes from the recurrence
+    calls = []
+    besselk_mp = specfun.besselk_mp
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return besselk_mp(*args, **kwargs)
+
+    def fail(*args, **kwargs):
+        raise AssertionError("mpmath.besselk called outside besselk_mp's integer path")
+
+    monkeypatch.setattr(specfun, "besselk_mp", counted)
+    monkeypatch.setattr(mpmath, "besselk", fail)
+    assert math.isfinite(mopoly.p_eval(P1, 12, 0.7, EXT))
+    assert calls == [P1.nu, P1.nu + 1]
+
+
+def test_double_route_escalates_near_a_zero():
+    # the terms cancel by 1.9e8 here, which leaves the double pass 4e-7 off
+    x = 7.960262559627996
+    with pytest.warns(PrecisionLossWarning):
+        got = mopoly.p_eval(P0, 10, x)
+    assert got == pytest.approx(mopoly.p_eval(P0, 10, x, EXT), rel=1e-8)

@@ -2,13 +2,15 @@ import math
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 from bmop.errors import DomainError
 from bmop.precision import DOUBLE, PrecisionConfig
 from bmop.specfun import (Params, bessel_i, bessel_k, besselk_mp,
-                          hyp_terminating, omega, omega_at_zero, rho,
-                          rho_at_zero)
+                          hyp_terminating, omega, omega_at_zero, omega_ladder_mp,
+                          rho, rho_at_zero, rho_ladder_mp)
 
 EXT = PrecisionConfig(mode="extended", mantissa_bits=200)
 
@@ -63,6 +65,29 @@ class TestBesselkMp:
             got = besselk_mp(1.5, mp.mpf(2), 200)
             ref = mpmath.besselk(1.5, mp.mpf(2))
             assert abs(got - ref) <= mp.mpf(2) ** -170 * abs(ref)
+
+
+class TestLadders:
+    # integers and half-integers first: they take besselk_mp's special paths
+    orders = st.one_of(st.integers(-1, 12).map(lambda k: k / 2),
+                       st.floats(-1.0, 6.0, exclude_min=True))
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(kind=st.sampled_from(["I", "K"]), order=orders,
+           z=st.floats(1e-3, 30.0), jmax=st.integers(0, 12),
+           bits=st.sampled_from([160, 300]))
+    def test_matches_per_order(self, kind, order, z, jmax, bits):
+        # a = b = 1/2 makes the Bessel argument 2 a sqrt(x) equal to z
+        x = z * z
+        ladder = (omega_ladder_mp if kind == "I" else rho_ladder_mp)(order, 0.5, x, jmax, bits)
+        assert len(ladder) == jmax + 1
+        bessel = mpmath.besseli if kind == "I" else mpmath.besselk
+        with mp.workprec(bits + 60):
+            xm = mp.mpf(x)
+            for j, got in enumerate(ladder):
+                v = mp.mpf(order) + j
+                ref = xm ** (v / 2) * bessel(v, mpmath.sqrt(xm))
+                assert abs(got - ref) <= mp.mpf(2) ** (10 - bits) * abs(ref)
 
 
 class TestWeights:

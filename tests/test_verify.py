@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from bmop import verify
@@ -26,3 +28,16 @@ def test_check_result_pass_logic():
     assert good.passed and not bad.passed
     rep = verify.SuiteReport("s", [good, bad])
     assert not rep.passed
+
+
+def test_worst_keeps_nan():
+    # a nan error must fail its check, not drop out of the reduction
+    assert math.isnan(verify._worst([0.1, float("nan"), 0.2]))
+    assert not verify.CheckResult("x", verify._worst([float("nan"), 0.0]), 1.0).passed
+
+
+def test_large_a_limit_uses_every_point():
+    # at a = 200, x = 2 the unscaled Q_2(x^2) is beyond double range; the
+    # scaled value must still enter the error
+    checks = {c.name: c.max_error for c in verify.suite_limits(verify.PRESETS["S0"]).checks}
+    assert checks["large_a_final"] == pytest.approx(4.005e-3, rel=1e-3)

@@ -312,7 +312,7 @@ def _gamma_like(one, v):
     return mpmath.gamma(v)
 
 
-def _q_series_run(p: Params, n: int, x: float, one, rel_tol: float, max_outer: int):
+def _q_series_run(p: Params, n: int, x: float, one, rel_tol: float):
     acc = one * 0
     max_term = one * 0
     a2x = p.a * p.a * x
@@ -328,13 +328,12 @@ def _q_series_run(p: Params, n: int, x: float, one, rel_tol: float, max_outer: i
                 break
         else:
             small_streak = 0
-        if k >= max_outer:
-            raise NonConvergence(f"q_eval_series: no convergence after {max_outer} outer terms")
+        if k >= 10000:
+            raise NonConvergence("q_eval_series: no convergence after 10000 outer terms")
     return acc, max_term
 
 
-def q_eval_series(p: Params, n: int, x: float, precision: PrecisionConfig = DOUBLE,
-                  rel_tol: float = 1e-17, max_outer: int = 10000) -> float:
+def q_eval_series(p: Params, n: int, x: float, precision: PrecisionConfig = DOUBLE) -> float:
     """Q_n(x) from the explicit double series (independent of the Bessel
     backend; only gamma values enter)."""
     if x <= 0:
@@ -344,7 +343,7 @@ def q_eval_series(p: Params, n: int, x: float, precision: PrecisionConfig = DOUB
     pref_sign = (-1) ** n
 
     if not precision.extended:
-        acc, max_term = _q_series_run(p, n, x, 1.0, rel_tol, max_outer)
+        acc, max_term = _q_series_run(p, n, x, 1.0, 1e-17)
         ratio = math.inf if acc == 0 else max_term / abs(acc)
         if math.isfinite(acc) and ratio <= _ESCALATION_RATIO and n <= _ESCALATION_DEGREE:
             return pref_sign * math.exp(pref_log) * acc
@@ -355,7 +354,7 @@ def q_eval_series(p: Params, n: int, x: float, precision: PrecisionConfig = DOUB
     else:
         bits = max(precision.mantissa_bits, 64)
     with mp.workprec(bits):
-        acc, _ = _q_series_run(p, n, x, mp.mpf(1), float(10 ** (-mp.dps)), max_outer)
+        acc, _ = _q_series_run(p, n, x, mp.mpf(1), float(10 ** (-mp.dps)))
         return float(pref_sign * mpmath.exp(mp.mpf(pref_log)) * acc)
 
 

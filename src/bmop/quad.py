@@ -83,9 +83,9 @@ def gauss_panels(edges, order: int):
     return us, ws
 
 
-def panel_nodes(u_max: float, n_panels: int, order: int, levels: int = 25):
-    """Gauss-Legendre nodes/weights on [0, u_max], graded toward 0."""
-    return gauss_panels(_graded_edges(float(u_max), n_panels, levels), order)
+def panel_nodes(u_max: float, n_panels: int, order: int):
+    """Gauss-Legendre nodes/weights on [0, u_max], graded toward 0 by 25 levels."""
+    return gauss_panels(_graded_edges(float(u_max), n_panels, 25), order)
 
 
 def _legendre_pd(n: int, x):
@@ -118,12 +118,12 @@ def _gauss_rule_mp(order: int, bits: int):
     return tuple(nodes), tuple(weights)
 
 
-def panel_nodes_mp(u_max: float, n_panels: int, order: int, bits: int,
-                   levels: int = 30):
-    """Graded panel Gauss-Legendre nodes/weights on [0, u_max] as mpf lists."""
+def panel_nodes_mp(u_max: float, n_panels: int, order: int, bits: int):
+    """Gauss-Legendre nodes/weights on [0, u_max], graded toward 0 by 30
+    levels, as mpf lists."""
     nodes, weights = _gauss_rule_mp(order, bits)
     with mp.workprec(bits + 40):
-        edges = [mp.mpf(e) for e in _graded_edges(mp.mpf(u_max), n_panels, levels)]
+        edges = [mp.mpf(e) for e in _graded_edges(mp.mpf(u_max), n_panels, 30)]
         us, ws = [], []
         for lo, hi in zip(edges[:-1], edges[1:]):
             mid, half = (lo + hi) / 2, (hi - lo) / 2
@@ -216,10 +216,10 @@ def _moment_mp(p: Params, i: int, j: int):
             * mpmath.gamma(s) / (2 * gap ** s))
 
 
-def biorth_matrix_moments(p: Params, N: int, dps: int = 60) -> BiorthReport:
+def biorth_matrix_moments(p: Params, N: int) -> BiorthReport:
     """Quadrature-free biorthogonality matrix via the closed-form moments,
-    evaluated in extended precision (finite gamma sums, no truncation)."""
-    with mp.workprec(int(dps * 3.33)):
+    evaluated at 199 bits (finite gamma sums, no truncation)."""
+    with mp.workprec(199):
         moments = [[_moment_mp(p, i, j) for j in range(N)] for i in range(N)]
         qc = [mopoly._q_coeffs_mp(p, n) for n in range(N)]
         pc = [mopoly._p_coeffs_mp(p, m) for m in range(N)]

@@ -265,13 +265,14 @@ class DensityReport:
         self.p_value = float(stats.chi2.sf(self.chi_square, self.dof))
 
 
-def _expected_counts(spec: KernelSpec, edges: np.ndarray, num_samples: int,
-                     bits: int = 200, order: int = 20) -> np.ndarray:
-    """num_samples * integral of K_n(x,x) over each bin, by per-bin Gauss
-    panels in the u = sqrt(x) variable on one shared weight table."""
+def _expected_counts(spec: KernelSpec, edges: np.ndarray, num_samples: int) -> np.ndarray:
+    """num_samples * integral of K_n(x,x) over each bin, by per-bin 20-point
+    Gauss panels in the u = sqrt(x) variable on one shared 200-bit weight
+    table."""
     p = spec.params
+    order = 20
     us, ws = quad.gauss_panels(np.sqrt(edges), order)
-    wg = mopoly.WeightGrid(p, spec.n - 1, us * us, bits=bits)
+    wg = mopoly.WeightGrid(p, spec.n - 1, us * us, bits=200)
     dens = np.zeros(len(us))
     for k in range(spec.n):
         dens += wg.q_values(k) * wg.p_values(k)
@@ -279,12 +280,11 @@ def _expected_counts(spec: KernelSpec, edges: np.ndarray, num_samples: int,
     return num_samples * contrib
 
 
-def density_compare(batch: SampleBatch, spec: KernelSpec, bins: int = 40,
-                    min_expected: float = 20.0) -> DensityReport:
+def density_compare(batch: SampleBatch, spec: KernelSpec, bins: int = 40) -> DensityReport:
     """Chi-square comparison of the empirical one-point density against the
     kernel prediction.
 
-    Bins with expected count below min_expected are merged into their right
+    Bins with expected count below 20 are merged into their right
     neighbor (with a BinUnderflowWarning), never dropped; an overflow bin
     collects the tail mass so the expectations sum to n * num_samples.
     """
@@ -309,7 +309,7 @@ def density_compare(batch: SampleBatch, spec: KernelSpec, bins: int = 40,
     for i, (o, e) in enumerate(zip(observed, expected)):
         acc_o += o
         acc_e += e
-        if acc_e >= min_expected:
+        if acc_e >= 20.0:
             merged_edges.append(bounds[i + 1])
             merged_obs.append(acc_o)
             merged_exp.append(acc_e)

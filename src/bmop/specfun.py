@@ -3,10 +3,14 @@ the scaled weights w_mu (first kind, growing) and r_nu (second kind,
 decaying) that everything downstream is built from.
 
 Double mode is backed by scipy.special (exponentially scaled ive/kve so the
-log-magnitude never overflows).  Extended mode has one evaluator per family,
-besseli_mp and besselk_mp; every shifted order comes from two of their
-values by the three-term recurrence, run in each family's stable direction
-(omega_ladder_mp, rho_ladder_mp).
+log-magnitude never overflows).  Extended mode has one evaluator per family.
+besseli_mp gives I_mu(z).  besselk_mp gives the pair (K_nu(z), K_{nu+1}(z))
+by the same steps for every real order: Temme's series for the base pair of
+order |mu| <= 1/2 while 2z <= (bits + 20) ln 2, the large-z expansion
+beyond, the closed form at half-integer orders, then the three-term
+recurrence up to nu.  Every shifted order comes from a besselk_mp pair or
+two besseli_mp values by the recurrence, run in each family's stable
+direction (omega_ladder_mp, rho_ladder_mp).
 """
 
 from __future__ import annotations
@@ -108,7 +112,7 @@ def bessel_k(nu: float, z: float, precision: PrecisionConfig = DOUBLE) -> LogVal
         raise DomainError("bessel_k requires z > 0")
     if precision.extended:
         with mp.workprec(precision.mantissa_bits):
-            return LogValue.from_mpf(besselk_mp(nu, z, precision.mantissa_bits))
+            return LogValue.from_mpf(besselk_mp(nu, z, precision.mantissa_bits)[0])
     scaled = float(sp.kve(nu, z))  # K_nu(z) * exp(z)
     return LogValue(math.log(scaled) - z, 1)
 
@@ -157,7 +161,7 @@ def rho_mp(nu, b, x, bits: int = 200):
     """Extended-precision second-kind weight as an mpf (internal helper)."""
     with mp.workprec(bits):
         x = mp.mpf(x)
-        return x ** (mp.mpf(nu) / 2) * besselk_mp(nu, 2 * mp.mpf(b) * mpmath.sqrt(x), bits)
+        return x ** (mp.mpf(nu) / 2) * besselk_mp(nu, 2 * mp.mpf(b) * mpmath.sqrt(x), bits)[0]
 
 
 def _besselk_asymptotic(nu, z, bits: int):
@@ -177,55 +181,67 @@ def _besselk_asymptotic(nu, z, bits: int):
         return mpmath.sqrt(mp.pi / (2 * z)) * mpmath.exp(-z) * s
 
 
-def _besselk_int_series(n: int, z, bits: int):
-    """K_n(z), integer n >= 0, by the ascending series with log term.
+def _besselk_temme(mu, z, bits: int):
+    """(K_mu(z), K_{mu+1}(z)) for |mu| <= 1/2 by Temme's series (N. M. Temme,
+    J. Comput. Phys. 19 (1975) 324-337).
 
-    The two series cancel to e^(-z) out of terms growing like e^z, so the
-    working precision carries ~3z/ln2 guard bits.
+    The series cancel to e^(-z) out of terms growing like e^z, hence the
+    2z/ln2 guard bits; 1/Gamma(1-mu) - 1/Gamma(1+mu) loses log2(1/|mu|).
     """
-    slack = int(3.0 * float(z)) + 40
-    with mp.workprec(bits + slack):
-        z = mp.mpf(z)
-        h = z * z / 4
-        s1 = mp.mpf(0)
-        for k in range(n):
-            s1 += mp.factorial(n - k - 1) / mp.factorial(k) * (-h) ** k
-        s1 *= (z / 2) ** (-n) / 2
-        ln = mpmath.log(z / 2)
-        term = mp.mpf(1) / mp.factorial(n)
-        psi_a = -mpmath.euler
-        psi_b = mpmath.digamma(n + 1)
-        s2 = mp.mpf(0)
-        floor = mp.mpf(2) ** (-(bits + slack - 10)) * mpmath.exp(z)
-        k = 0
+    guard = 2 * float(z) / math.log(2.0) + 20 + (math.log2(1 / abs(mu)) if mu else 0)
+    with mp.workprec(bits + int(guard)):
+        z, mu = mp.mpf(z), mp.mpf(mu)
+        rg_minus, rg_plus = mpmath.rgamma(1 - mu), mpmath.rgamma(1 + mu)
+        gam1 = (rg_minus - rg_plus) / (2 * mu) if mu else -mp.euler
+        gam2 = (rg_minus + rg_plus) / 2
+        d = -mpmath.log(z / 2)
+        e = mu * d
+        f = (mp.pi * mu / mpmath.sin(mp.pi * mu) if mu else 1) * (
+            gam1 * mpmath.cosh(e) + gam2 * (mpmath.sinh(e) / e if e else 1) * d)
+        p = mpmath.exp(e) / (2 * rg_plus)    # (z/2)^-mu Gamma(1+mu) / 2
+        q = mpmath.exp(-e) / (2 * rg_minus)  # (z/2)^mu Gamma(1-mu) / 2
+        s0, s1, c, h = f, p, mp.mpf(1), z * z / 4
+        tol = mp.mpf(2) ** -mp.prec
+        i = 0
         while True:
-            contrib = term * (psi_a + psi_b - 2 * ln)
-            s2 += contrib
-            if k > 2 and abs(contrib) < floor:
-                break
-            k += 1
-            term *= h / (k * (n + k))
-            psi_a += mp.mpf(1) / k
-            psi_b += mp.mpf(1) / (n + k)
-        s2 *= (-1) ** n * (z / 2) ** n / 2
-        return s1 + s2
+            i += 1
+            f = (i * f + p + q) / (i * i - mu * mu)
+            c *= h / i
+            p /= i - mu
+            q /= i + mu
+            t0, t1 = c * f, c * (p - i * f)
+            s0 += t0
+            s1 += t1
+            # past the largest term (near i = z/2) a small term bounds the tail
+            if i > z and abs(t0) < tol * abs(s0) and abs(t1) < tol * abs(s1):
+                return s0, 2 * s1 / z
 
 
 def besselk_mp(nu, z, bits: int = 200):
-    """K_nu(z) as an mpf at the requested precision.
+    """The pair (K_nu(z), K_{nu+1}(z)) as mpfs at the requested precision,
+    for any real order nu.
 
-    mpmath's integer-order path goes through a numerical order limit and is
-    orders of magnitude slower than the half-integer one, so integer orders
-    are routed to direct series/asymptotic evaluations instead.
+    With nu = mu + n and -1/2 <= mu < 1/2, the base pair (K_mu, K_{mu+1})
+    is elementary at mu = -1/2, Temme's series while 2z <= (bits + 20) ln 2
+    and the large-z expansion beyond.  The three-term recurrence then
+    carries it n steps up, its stable direction, or -n steps down for
+    nu < -1/2.
     """
-    with mp.workprec(bits):
-        z = mp.mpf(z)
-        n = float(nu)
-        if n == int(n) and n >= 0:
-            if 2 * float(z) > (bits + 20) * math.log(2.0):
-                return _besselk_asymptotic(nu, z, bits)
-            return _besselk_int_series(int(n), z, bits)
-        return mpmath.besselk(nu, z)
+    with mp.workprec(bits + 20):
+        z, nu = mp.mpf(z), mp.mpf(nu)
+        n = int(mpmath.floor(nu + 0.5))
+        mu = nu - n
+        if mu == -0.5:
+            k0 = k1 = mpmath.sqrt(mp.pi / (2 * z)) * mpmath.exp(-z)
+        elif 2 * z <= (bits + 20) * math.log(2.0):
+            k0, k1 = _besselk_temme(mu, z, bits)
+        else:
+            k0, k1 = _besselk_asymptotic(mu, z, bits), _besselk_asymptotic(mu + 1, z, bits)
+        for j in range(n):
+            k0, k1 = k1, k0 + 2 * (mu + j + 1) / z * k1
+        for j in range(-n):
+            k0, k1 = k1 - 2 * (mu - j) / z * k0, k0
+        return k0, k1
 
 
 def besseli_mp(mu, z, bits: int = 200):
@@ -265,7 +281,7 @@ def rho_ladder_mp(nu, b, x, jmax: int, bits: int = 200) -> list:
         nu = mp.mpf(nu)
         s = mpmath.sqrt(x)
         z = 2 * b * s
-        ladder = [besselk_mp(nu, z, bits + 20), besselk_mp(nu + 1, z, bits + 20)]
+        ladder = list(besselk_mp(nu, z, bits + 20))
         for j in range(2, jmax + 1):
             ladder.append(ladder[j - 2] + 2 * (nu + j - 1) / z * ladder[j - 1])
         out = []
@@ -276,13 +292,13 @@ def rho_ladder_mp(nu, b, x, jmax: int, bits: int = 200) -> list:
         return out
 
 
-def hyp_terminating(kind: str, numerator, denominator, z: float,
-                    tol: float = 1e-16, max_terms: int = 10000) -> float:
+def hyp_terminating(kind: str, numerator, denominator, z: float) -> float:
     """Terminating (or truncated 0F1) hypergeometric sum with compensated
     summation.
 
     kind is one of "2F1", "1F2", "0F1".  For 2F1/1F2 the first numerator
-    parameter must be a non-positive integer -n so the series terminates.
+    parameter must be a non-positive integer -n so the series terminates;
+    0F1 stops once a term falls below 1e-16 of the sum (10000 terms at most).
     """
     numerator = list(numerator)
     denominator = list(denominator)
@@ -298,7 +314,7 @@ def hyp_terminating(kind: str, numerator, denominator, z: float,
             raise DomainError(f"{kind} requires a terminating first parameter, got {first}")
         n_terms = int(-first) + 1
     else:
-        n_terms = max_terms
+        n_terms = 10000
 
     terms = []
     term = 1.0
@@ -306,7 +322,7 @@ def hyp_terminating(kind: str, numerator, denominator, z: float,
         terms.append(term)
         if kind != "0F1" and k + 1 >= n_terms:
             break
-        if kind == "0F1" and k > 2 and abs(term) < tol * abs(math.fsum(terms)):
+        if kind == "0F1" and k > 2 and abs(term) < 1e-16 * abs(math.fsum(terms)):
             break
         ratio = z / (k + 1.0)
         for p in numerator:

@@ -69,71 +69,63 @@ def suite_bessel(p: Params, **kw) -> SuiteReport:
     """Double-precision weights against extended-precision references, plus
     the Wronskian-type identity I_v(z)K_{v+1}(z) + I_{v+1}(z)K_v(z) = 1/z."""
     xs = np.geomspace(1e-3, 50.0, 12)
-    worst_w = 0.0
+    errs_w = []
     for x in xs:
         for shift in (0.0, 1.0):
-            worst_w = max(worst_w,
-                          _rel(omega(p.mu + shift, p.a, float(x)).value(),
-                               omega(p.mu + shift, p.a, float(x), _EXT).value()),
-                          _rel(rho(p.nu + shift, p.b, float(x)).value(),
-                               rho(p.nu + shift, p.b, float(x), _EXT).value()))
-    worst_i = 0.0
+            errs_w += [_rel(omega(p.mu + shift, p.a, float(x)).value(),
+                          omega(p.mu + shift, p.a, float(x), _EXT).value()),
+                     _rel(rho(p.nu + shift, p.b, float(x)).value(),
+                          rho(p.nu + shift, p.b, float(x), _EXT).value())]
     from .specfun import bessel_i, bessel_k
+    errs_i = []
     for z in (0.1, 1.0, 7.0, 40.0):
         lhs = (bessel_i(p.nu, z).value() * bessel_k(p.nu + 1, z).value()
                + bessel_i(p.nu + 1, z).value() * bessel_k(p.nu, z).value())
-        worst_i = max(worst_i, _rel(lhs, 1.0 / z))
+        errs_i.append(_rel(lhs, 1.0 / z))
     return SuiteReport("bessel", [
-        CheckResult("weights_vs_extended", worst_w, 1e-12),
-        CheckResult("wronskian_identity", worst_i, 1e-12),
+        CheckResult("weights_vs_extended", _worst(errs_w), 1e-12),
+        CheckResult("wronskian_identity", _worst(errs_i), 1e-12),
     ])
 
 
 def suite_lommel(p: Params, m_max: int = 12, **kw) -> SuiteReport:
     """Shift identities for both weight families, plus the sign pattern
     distinguishing the scale a from the scale -b."""
-    worst = 0.0
+    errs = []
     for m in range(m_max + 1):
         for x in np.geomspace(0.1, 20.0, 9):
-            worst = max(worst,
-                        _rel(lommel.omega_shift_eval(p, m, float(x)),
-                             omega(p.mu + m, p.a, float(x), _EXT).value()),
-                        _rel(lommel.rho_shift_eval(p, m, float(x)),
-                             rho(p.nu + m, p.b, float(x), _EXT).value()))
+            errs += [_rel(lommel.omega_shift_eval(p, m, float(x)),
+                          omega(p.mu + m, p.a, float(x), _EXT).value()),
+                     _rel(lommel.rho_shift_eval(p, m, float(x)),
+                          rho(p.nu + m, p.b, float(x), _EXT).value())]
     # the odd-m reconstructions of the second kind flip the sign of the s
     # polynomial contribution relative to the first kind
-    worst_sign = 0.0
+    sign_errs = []
     for m in (1, 3, 5):
         pair = lommel.shift_pair(p.nu, m)
         lead = pair.s_poly[0]
         expected = (-1.0) ** (m + 1) * abs(lead)
-        worst_sign = max(worst_sign, abs(lead - expected))
+        sign_errs.append(abs(lead - expected))
     return SuiteReport("lommel", [
-        CheckResult("shift_reconstruction", worst, 1e-9),
-        CheckResult("sign_pattern", worst_sign, 0.0),
+        CheckResult("shift_reconstruction", _worst(errs), 1e-9),
+        CheckResult("sign_pattern", _worst(sign_errs), 0.0),
     ])
 
 
 def suite_biorth(p: Params, N: int = 6, **kw) -> SuiteReport:
     """Moment oracle plus both biorthogonality routes."""
-    worst_m = 0.0
-    for i in range(9):
-        for j in range(9):
-            worst_m = max(worst_m, _rel(quad.moment_quad(p, i, j),
-                                        quad.moment_closed(p, i, j).value()))
+    worst_m = _worst(_rel(quad.moment_quad(p, i, j), quad.moment_closed(p, i, j).value())
+                     for i in range(9) for j in range(9))
     rep_q = quad.biorth_matrix(p, N)
     rep_m = quad.biorth_matrix_moments(p, N)
-    worst_lin = 0.0
-    for n in range(1, 7):
-        for j in range(n):
-            worst_lin = max(worst_lin, abs(quad.q_rho_moment(p, n, j))
-                            / quad.q_rho_moment_scale(p, n, j))
+    worst_lin = _worst(abs(quad.q_rho_moment(p, n, j)) / quad.q_rho_moment_scale(p, n, j)
+                       for n in range(1, 7) for j in range(n))
     return SuiteReport("biorth", [
         CheckResult("moment_oracle", worst_m, 1e-10),
         CheckResult("quadrature_identity",
-                    max(rep_q.max_offdiag_abs, rep_q.max_diag_dev), 1e-8),
+                    _worst((rep_q.max_offdiag_abs, rep_q.max_diag_dev)), 1e-8),
         CheckResult("moments_identity",
-                    max(rep_m.max_offdiag_abs, rep_m.max_diag_dev), 1e-10),
+                    _worst((rep_m.max_offdiag_abs, rep_m.max_diag_dev)), 1e-10),
         CheckResult("orthogonality_linearity", worst_lin, 1e-12),
     ])
 
@@ -142,12 +134,12 @@ def suite_recurrence(p: Params, n_max: int = 12, **kw) -> SuiteReport:
     """Functional residuals, coefficient duality, and the integral identity
     behind the recurrence coefficients."""
     xs = np.geomspace(0.05, 50.0, 20)
-    worst_q = worst_p = 0.0
+    errs_q, errs_p = [], []
     for n in range(n_max + 1):
         for x in xs:
-            worst_q = max(worst_q, recurrence.q_residual(p, n, float(x), _EXT))
-            worst_p = max(worst_p, recurrence.p_residual(p, n, float(x), _EXT))
-    worst_d = 0.0
+            errs_q.append(recurrence.q_residual(p, n, float(x), _EXT))
+            errs_p.append(recurrence.p_residual(p, n, float(x), _EXT))
+    duality = []
     for n in range(n_max + 1):
         bc = recurrence.p_recurrence_coeffs(p, n)
         # b_{j,n} = a_{-j, n+j}; negative shifted index means coefficient 0
@@ -160,12 +152,12 @@ def suite_recurrence(p: Params, n_max: int = 12, **kw) -> SuiteReport:
                 qc = recurrence.q_recurrence_coeffs(p, m)
                 ref = {-2: qc.am2, -1: qc.am1, 0: qc.a0,
                        1: qc.a1, 2: qc.a2}[-j]
-            worst_d = max(worst_d, abs(val - ref))
+            duality.append(abs(val - ref))
     worst_i = _integral_identity_error(p, n_cap=kw.get("integral_n_cap", 6))
     return SuiteReport("recurrence", [
-        CheckResult("q_residual", worst_q, 1e-9),
-        CheckResult("p_residual", worst_p, 1e-9),
-        CheckResult("coefficient_duality", worst_d, 0.0),
+        CheckResult("q_residual", _worst(errs_q), 1e-9),
+        CheckResult("p_residual", _worst(errs_p), 1e-9),
+        CheckResult("coefficient_duality", _worst(duality), 0.0),
         CheckResult("integral_identity", worst_i, 1e-6),
     ])
 
@@ -175,7 +167,7 @@ def _integral_identity_error(p: Params, n_cap: int = 6) -> float:
     rule = quad.ProductRule(p, n_cap + 2, 200, quad.QuadConfig(abs_tol=1e-16))
     qv = [rule.grid.q_values_mp(n) for n in range(n_cap + 1)]
     pv = [rule.grid.p_values_mp(m) for m in range(n_cap + 3)]
-    worst = 0.0
+    errs = []
     for n in range(n_cap + 1):
         c = recurrence.q_recurrence_coeffs(p, n)
         refs = {2: c.a2, 1: c.a1, 0: c.a0, -1: c.am1, -2: c.am2}
@@ -183,39 +175,39 @@ def _integral_identity_error(p: Params, n_cap: int = 6) -> float:
             m = n + i
             if m < 0 or ref == 0.0:
                 continue
-            worst = max(worst, _rel(float(rule.integral(qv[n], pv[m], 1)), ref))
-    return worst
+            errs.append(_rel(float(rule.integral(qv[n], pv[m], 1)), ref))
+    return _worst(errs)
 
 
 def suite_derivative(p: Params, n_max: int = 8, h: float = 1e-6, **kw) -> SuiteReport:
     """Finite-difference checks of the derivative identities: the weight
     level d/dx shifts down one order with factor a (resp. -b), and the same
     pattern lifts to Q_n and P_n with a shifted first parameter."""
-    worst_w = 0.0
+    errs_w = []
     for x in (0.3, 1.0, 4.0):
         dw = (omega(p.mu + 1, p.a, x + h, _EXT).value()
               - omega(p.mu + 1, p.a, x - h, _EXT).value()) / (2 * h)
-        worst_w = max(worst_w, _rel(dw, p.a * omega(p.mu, p.a, x, _EXT).value()))
+        errs_w.append(_rel(dw, p.a * omega(p.mu, p.a, x, _EXT).value()))
         dr = (rho(p.nu + 1, p.b, x + h, _EXT).value()
               - rho(p.nu + 1, p.b, x - h, _EXT).value()) / (2 * h)
-        worst_w = max(worst_w, _rel(dr, -p.b * rho(p.nu, p.b, x, _EXT).value()))
+        errs_w.append(_rel(dr, -p.b * rho(p.nu, p.b, x, _EXT).value()))
     # differentiating the explicit sum term by term shows the derivative
     # conserves mu+nu: d/dx Q_n with (mu+1, nu) lands on the (mu, nu+1)
     # family times a, and d/dx P_n with (mu, nu+1) on (mu+1, nu) times -a
     p_up_mu = Params(p.mu + 1.0, p.nu, p.a, p.b)
     p_up_nu = Params(p.mu, p.nu + 1.0, p.a, p.b)
-    worst_f = 0.0
+    errs_f = []
     for n in range(n_max + 1):
         for x in (0.3, 1.0, 4.0):
             dq = (mopoly.q_eval(p_up_mu, n, x + h, _EXT)
                   - mopoly.q_eval(p_up_mu, n, x - h, _EXT)) / (2 * h)
-            worst_f = max(worst_f, _rel(dq, p.a * mopoly.q_eval(p_up_nu, n, x, _EXT)))
+            errs_f.append(_rel(dq, p.a * mopoly.q_eval(p_up_nu, n, x, _EXT)))
             dp = (mopoly.p_eval(p_up_nu, n, x + h, _EXT)
                   - mopoly.p_eval(p_up_nu, n, x - h, _EXT)) / (2 * h)
-            worst_f = max(worst_f, _rel(dp, -p.a * mopoly.p_eval(p_up_mu, n, x, _EXT)))
+            errs_f.append(_rel(dp, -p.a * mopoly.p_eval(p_up_mu, n, x, _EXT)))
     return SuiteReport("derivative", [
-        CheckResult("weight_derivative", worst_w, 1e-6),
-        CheckResult("form_derivative", worst_f, 1e-6),
+        CheckResult("weight_derivative", _worst(errs_w), 1e-6),
+        CheckResult("form_derivative", _worst(errs_f), 1e-6),
     ])
 
 
@@ -308,25 +300,17 @@ def suite_mellin(p: Params, **kw) -> SuiteReport:
     from scipy import special as sp
 
     cfg = mellin.ContourConfig()
-    worst_c = max(_rel(mellin.mb_integrate(
+    worst_c = _worst(_rel(mellin.mb_integrate(
         lambda t: np.exp(sp.loggamma(t) - t * math.log(x)),
         cfg, decay_rate=math.pi / 2, poly_power=2.0), math.exp(-x))
         for x in (0.5, 1.0, 2.0, 5.0))
-    worst_r = 0.0
-    for nu in (0.3, 0.5, p.nu, 1.5, 2.7):
-        for x in (0.05, 0.3, 1.0, 3.0, 8.0):
-            worst_r = max(worst_r, _rel(mellin.rho_mellin(nu, p.b, x),
-                                        rho(nu, p.b, x, _EXT).value()))
-    worst_p = 0.0
-    for n in range(11):
-        for x in (0.1, 1.0, 4.0):
-            worst_p = max(worst_p, _rel(mellin.p_mellin_eval(p, n, x),
-                                        mopoly.p_eval(p, n, x, _EXT)))
-    worst_g = 0.0
-    for mu, nu in ((0.5, 1.5), (0.0, 0.7), (1.2, 2.3)):
-        for x in (0.01, 0.5, 2.0, 10.0):
-            worst_g = max(worst_g, _rel(mellin.meijer_g203(mu, nu, x),
-                                        mellin.meijer_g203_series(mu, nu, x)))
+    worst_r = _worst(_rel(mellin.rho_mellin(nu, p.b, x), rho(nu, p.b, x, _EXT).value())
+                     for nu in (0.3, 0.5, p.nu, 1.5, 2.7) for x in (0.05, 0.3, 1.0, 3.0, 8.0))
+    worst_p = _worst(_rel(mellin.p_mellin_eval(p, n, x), mopoly.p_eval(p, n, x, _EXT))
+                     for n in range(11) for x in (0.1, 1.0, 4.0))
+    worst_g = _worst(_rel(mellin.meijer_g203(mu, nu, x), mellin.meijer_g203_series(mu, nu, x))
+                     for mu, nu in ((0.5, 1.5), (0.0, 0.7), (1.2, 2.3))
+                     for x in (0.01, 0.5, 2.0, 10.0))
     return SuiteReport("mellin", [
         CheckResult("cahen_mellin", worst_c, 1e-10),
         CheckResult("rho_mellin", worst_r, 1e-9),
@@ -342,14 +326,12 @@ def suite_kernel(p: Params, **kw) -> SuiteReport:
     checks run on a fixed representative spec rather than on the preset.
     """
     traces = rmt.kernel_trace_partials(rmt.KernelSpec(0, 2.0, 0.5, 1.5, 6))
-    worst_t = max(abs(t - (m + 1)) for m, t in enumerate(traces))
+    worst_t = _worst(abs(t - (m + 1)) for m, t in enumerate(traces))
     worst_proj = _projection_error(rmt.KernelSpec(0, 2.0, 0.5, 1.5, 4),
                                    sizes=(1, 2, 3, 4))
-    worst_m = 0.0
-    for n in (2, 3):
-        s = rmt.KernelSpec(0, 2.0, 0.5, 1.5, n)
-        worst_m = max(worst_m, _rel(rmt.kernel_first_moment(s),
-                                    rmt.mean_trace_identity(s)))
+    specs = [rmt.KernelSpec(0, 2.0, 0.5, 1.5, n) for n in (2, 3)]
+    worst_m = _worst(_rel(rmt.kernel_first_moment(s), rmt.mean_trace_identity(s))
+                     for s in specs)
     return SuiteReport("kernel", [
         CheckResult("trace", worst_t, 1e-8),
         CheckResult("projection", worst_proj, 1e-6),
@@ -376,7 +358,7 @@ def _projection_error(spec: rmt.KernelSpec, sizes=None) -> float:
     # sum_{k,l} Q_k(x) B[k][l] P_l(y)
     B = [[float(rule.integral(pv[k], qv[l])) for l in range(spec.n)]
          for k in range(spec.n)]
-    worst = 0.0
+    errs = []
     for x in pts:
         qx = [mopoly.q_eval(p, k, x, _EXT) for k in range(spec.n)]
         for y in pts:
@@ -385,8 +367,8 @@ def _projection_error(spec: rmt.KernelSpec, sizes=None) -> float:
                 direct = math.fsum(qx[k] * py[k] for k in range(m))
                 proj = math.fsum(qx[k] * B[k][l] * py[l]
                                  for k in range(m) for l in range(m))
-                worst = max(worst, _rel(proj, direct))
-    return worst
+                errs.append(_rel(proj, direct))
+    return _worst(errs)
 
 
 SUITES = {

@@ -124,8 +124,9 @@ class TestSignChanges:
 
 
 def test_extended_p_takes_one_k_pair(monkeypatch):
-    # the rho ladder evaluates K at the base pair only; every other order
-    # comes from the recurrence
+    # the rho ladder takes its base pair from one besselk_mp call; every
+    # other order comes from the recurrence, and no order class reaches
+    # mpmath's own K
     calls = []
     besselk_mp = specfun.besselk_mp
 
@@ -134,12 +135,15 @@ def test_extended_p_takes_one_k_pair(monkeypatch):
         return besselk_mp(*args, **kwargs)
 
     def fail(*args, **kwargs):
-        raise AssertionError("mpmath.besselk called outside besselk_mp's integer path")
+        raise AssertionError("mpmath.besselk called")
 
     monkeypatch.setattr(specfun, "besselk_mp", counted)
     monkeypatch.setattr(mpmath, "besselk", fail)
     assert math.isfinite(mopoly.p_eval(P1, 12, 0.7, EXT))
-    assert calls == [P1.nu, P1.nu + 1]
+    assert calls == [P1.nu]
+    for p in (P1, P0, Params(0.3, 1.3, 0.9, 1.8)):
+        assert math.isfinite(mopoly.p_eval(p, 5, 0.7, EXT))
+        assert specfun.bessel_k(p.nu, 1.3, EXT).value() > 0
 
 
 def test_double_route_escalates_near_a_zero():

@@ -1,4 +1,6 @@
 import math
+import re
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
+from bmop import specfun
 from bmop.errors import DomainError
 from bmop.precision import DOUBLE, PrecisionConfig
 from bmop.specfun import (Params, bessel_i, bessel_k, besselk_mp,
@@ -52,19 +55,45 @@ class TestBessel:
 
 
 class TestBesselkMp:
-    @pytest.mark.parametrize("n", [0, 1, 2, 5, 13])
-    @pytest.mark.parametrize("z", [0.01, 0.8, 7.0, 60.0, 260.0])
-    def test_integer_orders(self, n, z):
-        with mp.workprec(200):
-            got = besselk_mp(n, mp.mpf(z), 200)
-            ref = mpmath.besselk(n, mp.mpf(z))
-            assert abs(got - ref) <= mp.mpf(2) ** -170 * abs(ref)
+    # both members of the pair against mpmath at bits + 60; at 200 bits the
+    # large-z expansion takes over near z = 76
+    zs = [0.01, 0.8, 7.0, 60.0, 260.0, 4e-5, 2.0, 80.0]
 
-    def test_non_integer_delegates(self):
-        with mp.workprec(200):
-            got = besselk_mp(1.5, mp.mpf(2), 200)
-            ref = mpmath.besselk(1.5, mp.mpf(2))
-            assert abs(got - ref) <= mp.mpf(2) ** -170 * abs(ref)
+    @staticmethod
+    def check_pair(nu, z, bits=200):
+        pair = besselk_mp(nu, z, bits)
+        with mp.workprec(bits + 60):
+            for k, got in enumerate(pair):
+                ref = mpmath.besselk(mp.mpf(nu) + k, mp.mpf(z))
+                assert abs(got - ref) <= mp.mpf(2) ** (10 - bits) * abs(ref)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 13])
+    @pytest.mark.parametrize("z", zs)
+    def test_integer_orders(self, n, z):
+        self.check_pair(n, z)
+
+    # half-integer, generic, near-integer, near-half and negative orders
+    @pytest.mark.parametrize("nu", [0.5, 1.5, 2.5, -0.5, 0.3, 7.3, 1e-9, 1 + 1e-12,
+                                    0.5000001, 2.4999, -0.3, -0.7, -0.9999, -2.3])
+    @pytest.mark.parametrize("z", zs)
+    def test_non_integer_orders(self, nu, z):
+        self.check_pair(nu, z)
+
+
+def test_one_extended_evaluator_per_bessel_family():
+    # besselk_mp is the only K evaluator; mpmath's I is reached only
+    # through besseli_mp
+    offenders = []
+    for path in sorted(Path(specfun.__file__).parent.glob("*.py")):
+        scope = None
+        for lineno, line in enumerate(path.read_text().splitlines(), 1):
+            if line.startswith(("def ", "class ")):
+                scope = re.match(r"\w+ (\w+)", line).group(1)
+            if ("mpmath.besselk" in line
+                    or re.search(r"from mpmath import .*\bbessel[ik]\b", line)
+                    or ("mpmath.besseli(" in line and scope != "besseli_mp")):
+                offenders.append(f"{path.name}:{lineno}: {line.strip()}")
+    assert offenders == []
 
 
 class TestLadders:

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from bmop import verify
+from bmop import lommel, verify
 from bmop.errors import DomainError
 
 
@@ -34,6 +34,20 @@ def test_worst_keeps_nan():
     # a nan error must fail its check, not drop out of the reduction
     assert math.isnan(verify._worst([0.1, float("nan"), 0.2]))
     assert not verify.CheckResult("x", verify._worst([float("nan"), 0.0]), 1.0).passed
+
+
+def test_suite_fails_on_a_nan_error(monkeypatch):
+    # Python's max drops a nan unless it comes first; the suites must not
+    rho_shift_eval = lommel.rho_shift_eval
+
+    def nan_at_3(p, m, x):
+        return float("nan") if m == 3 else rho_shift_eval(p, m, x)
+
+    monkeypatch.setattr(lommel, "rho_shift_eval", nan_at_3)
+    rep = verify.suite_lommel(verify.PRESETS["S0"], m_max=4)
+    check = rep.checks[0]
+    assert check.name == "shift_reconstruction"
+    assert math.isnan(check.max_error) and not check.passed and not rep.passed
 
 
 def test_large_a_limit_uses_every_point():

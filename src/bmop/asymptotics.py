@@ -12,7 +12,7 @@ import math
 
 from .errors import DomainError
 from .mellin import ContourConfig, meijer_g203
-from .precision import DOUBLE, PrecisionConfig
+from .precision import DOUBLE, PrecisionConfig, bits_for
 from .specfun import Params, hyp_terminating, log_gamma, pochhammer
 
 
@@ -101,13 +101,12 @@ def mehler_heine_scaled_p(p: Params, n: int, x: float,
     Mehler-Heine limit at finite n.
 
     The dual form at tiny argument is an alternating gamma-sized sum, so
-    this defaults to extended precision with at least 192 bits for n >= 40.
+    this defaults to extended precision at `bits_for(n)`.
     """
     from .mopoly import p_eval
 
     if precision is None:
-        bits = max(192, 64 + 12 * n)
-        precision = PrecisionConfig(mode="extended", mantissa_bits=bits)
+        precision = PrecisionConfig(mode="extended", mantissa_bits=bits_for(n))
     arg = x / ((n + 1.0) * p.gap)
     val = p_eval(p, n, arg, precision)
     sign = -1.0 if n % 2 else 1.0

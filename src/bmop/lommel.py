@@ -16,7 +16,7 @@ from mpmath import mp
 
 from .errors import DomainError
 from .mopoly import _horner
-from .precision import DOUBLE, PrecisionConfig
+from .precision import DOUBLE, PrecisionConfig, bits_for
 from .specfun import Params, omega, omega_ladder_mp, pochhammer, rho, rho_ladder_mp
 
 
@@ -103,8 +103,7 @@ def _shift_combine(pair: ShiftPair, base_order: float, scale: float,
     ratio = biggest / max(abs(total), biggest * 1e-300)
     if ratio < 1e3:
         return total
-    bits = 64 + int(math.log2(ratio)) + 16
-    return _shift_eval_mp(pair.m, base_order, scale, ladder_mp, x, bits)
+    return _shift_eval_mp(pair.m, base_order, scale, ladder_mp, x, bits_for(pair.m, ratio))
 
 
 def omega_shift_eval(p: Params, m: int, x: float,

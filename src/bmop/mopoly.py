@@ -7,9 +7,10 @@ cross-validate each other:
 * a double-series route for Q_n (q_eval_series),
 * polynomial-pair reconstruction (a_polys / b_polys).
 
-Alternating coefficient sums cancel catastrophically near the zeros of the
-forms; evaluations monitor the max-term/result ratio and escalate to
-extended precision automatically when it exceeds 1e5 (or when n > 30).
+Alternating coefficient sums cancel near the zeros of the forms: a double
+pass escalates to extended precision when its max-term/result ratio exceeds
+1e5, when the value leaves double range, or for n > 30.  Every bit count
+this module chooses comes from precision.bits_for.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from mpmath import mp
 
 from .errors import (BmopError, CapExceeded, DomainError, DoubleOverflow, NonConvergence,
                      PrecisionLossWarning)
-from .precision import DOUBLE, LogValue, PrecisionConfig, logsum
+from .precision import DOUBLE, LogValue, PrecisionConfig, bits_for, logsum
 from . import specfun
 from .specfun import Params, log_gamma, log_gamma_ratio, omega, pochhammer, rho
 
@@ -35,8 +36,6 @@ from .specfun import Params, log_gamma, log_gamma_ratio, omega, pochhammer, rho
 _ESCALATION_RATIO = 1e5
 _ESCALATION_DEGREE = 30
 _LOG_DOUBLE_MAX = math.log(sys.float_info.max)
-DET_CAP_DOUBLE = 10
-DET_CAP_EXTENDED = 30
 
 
 # ---------------------------------------------------------------------------
@@ -140,24 +139,32 @@ def _p_coeffs_mp(p: Params, n: int):
 # ---------------------------------------------------------------------------
 # direct evaluation with automatic precision escalation
 
-def _escalation_bits(ratio: float, n: int) -> int:
-    lost = 0 if not math.isfinite(ratio) or ratio <= 1 else int(math.log2(ratio))
-    if not math.isfinite(ratio):
-        lost = 4 * max(n, 10)
-    return min(53 + lost + 48, 4000)
+def _escalation(label: str, n: int, ratio: float, in_range: bool, stacklevel: int):
+    """Bits for the extended pass after a double pass, or None to keep it; warns with the cause."""
+    if n > _ESCALATION_DEGREE:
+        cause = f"degree above {_ESCALATION_DEGREE}"
+    elif not in_range:
+        cause = "value outside double range"
+    elif not ratio <= _ESCALATION_RATIO:
+        cause = f"cancellation ratio {ratio:.2e}"
+    else:
+        return None
+    warnings.warn(f"{label}: {cause} at n={n}; escalating to extended precision",
+                  PrecisionLossWarning, stacklevel=stacklevel + 1)
+    return bits_for(n, ratio)
 
 
 def _expansion_eval(label: str, p: Params, n: int, x: float, precision: PrecisionConfig,
                     coeff_logs, weight, coeffs_mp, ladder_mp, order, scale) -> float:
     """sum_j c_j w_{order+j}(x) for either family: a double pass over the
     coefficient logs, or one order ladder in extended precision when that is
-    asked for, n > 30, or the double terms cancel."""
+    asked for, n > 30, the value leaves double range or the terms cancel."""
     if x <= 0:
         raise DomainError(f"{label} requires x > 0")
     if n < 0:
         raise DomainError("n must be >= 0")
     if precision.extended:
-        bits = max(precision.mantissa_bits, 64)
+        bits = precision.mantissa_bits
     else:
         terms = ([c * weight(order + j, scale, x) for j, c in enumerate(coeff_logs(p, n))]
                  if n <= _ESCALATION_DEGREE else [])
@@ -167,12 +174,9 @@ def _expansion_eval(label: str, p: Params, n: int, x: float, precision: Precisio
         else:
             total = logsum(terms)
             ratio = math.inf if total == 0.0 else math.exp(top) / abs(total)
-        if n <= _ESCALATION_DEGREE and ratio <= _ESCALATION_RATIO and math.isfinite(total):
+        bits = _escalation(label, n, ratio, total != 0.0 and math.isfinite(total), stacklevel=3)
+        if bits is None:
             return total
-        warnings.warn(
-            f"{label}: cancellation ratio {ratio:.2e} at n={n}; escalating to extended precision",
-            PrecisionLossWarning, stacklevel=3)
-        bits = _escalation_bits(ratio, n)
     with mp.workprec(bits):
         value = mp.fdot(coeffs_mp(p, n), ladder_mp(order, scale, x, n, bits))
     out = float(value)
@@ -226,8 +230,13 @@ def _det_full_pivot(rows):
     return det
 
 
-def _det_cap(precision: PrecisionConfig) -> int:
-    return DET_CAP_EXTENDED if precision.extended else DET_CAP_DOUBLE
+def _det_bits(precision: PrecisionConfig, n: int, x: float) -> int:
+    cap = 30 if precision.extended else 10
+    if n > cap:
+        raise CapExceeded(f"determinant oracle capped at n={cap}")
+    if x <= 0:
+        raise DomainError("x must be > 0")
+    return max(precision.mantissa_bits if precision.extended else 0, bits_for(n))
 
 
 def q_eval_determinant(p: Params, n: int, x: float,
@@ -237,11 +246,7 @@ def q_eval_determinant(p: Params, n: int, x: float,
     Gamma rows are pre-scaled by their leading entry to tame the dynamic
     range; elimination runs in extended precision regardless of mode.
     """
-    if n > _det_cap(precision):
-        raise CapExceeded(f"determinant oracle capped at n={_det_cap(precision)}")
-    if x <= 0:
-        raise DomainError("x must be > 0")
-    bits = max(precision.mantissa_bits if precision.extended else 0, 64 + 8 * n)
+    bits = _det_bits(precision, n, x)
     with mp.workprec(bits):
         mu = mp.mpf(p.mu)
         base = mu + p.nu + 1
@@ -263,11 +268,7 @@ def q_eval_determinant(p: Params, n: int, x: float,
 def p_eval_determinant(p: Params, n: int, x: float,
                        precision: PrecisionConfig = DOUBLE) -> float:
     """P_n(x) from its determinant representation (last column of weights)."""
-    if n > _det_cap(precision):
-        raise CapExceeded(f"determinant oracle capped at n={_det_cap(precision)}")
-    if x <= 0:
-        raise DomainError("x must be > 0")
-    bits = max(precision.mantissa_bits if precision.extended else 0, 64 + 8 * n)
+    bits = _det_bits(precision, n, x)
     cn = normalization_c(p, n).value
     with mp.workprec(bits):
         nu = mp.mpf(p.nu)
@@ -352,17 +353,14 @@ def q_eval_series(p: Params, n: int, x: float, precision: PrecisionConfig = DOUB
     pref_log = (p.mu * math.log(p.a * x) + log_gamma(base + n).log_magnitude)
     pref_sign = (-1) ** n
 
-    if not precision.extended:
+    if precision.extended:
+        bits = precision.mantissa_bits
+    else:
         acc, max_term = _q_series_run(p, n, x, 1.0, 1e-17)
         ratio = math.inf if acc == 0 else max_term / abs(acc)
-        if math.isfinite(acc) and ratio <= _ESCALATION_RATIO and n <= _ESCALATION_DEGREE:
+        bits = _escalation("q_eval_series", n, ratio, math.isfinite(acc), stacklevel=2)
+        if bits is None:
             return pref_sign * math.exp(pref_log) * acc
-        warnings.warn(
-            f"q_eval_series: cancellation ratio {ratio:.2e} at n={n}; escalating",
-            PrecisionLossWarning, stacklevel=2)
-        bits = _escalation_bits(ratio, n)
-    else:
-        bits = max(precision.mantissa_bits, 64)
     with mp.workprec(bits):
         acc, _ = _q_series_run(p, n, x, mp.mpf(1), float(10 ** (-mp.dps)))
         return float(pref_sign * mpmath.exp(mp.mpf(pref_log)) * acc)
@@ -496,7 +494,7 @@ class WeightGrid:
     for the second-kind table.
     """
 
-    def __init__(self, p: Params, jmax: int, xs, bits: int = 160):
+    def __init__(self, p: Params, jmax: int, xs, bits: int):
         self.params = p
         self.jmax = jmax
         # mpf abscissas pass through exactly; quadrature against huge
@@ -564,9 +562,8 @@ def sign_change_profile(p: Params, n_max: int, grid_points: int = 3072,
     weight table already holds all intermediate orders, so the whole profile
     costs one grid instead of n_max of them.
     """
-    x_lo, x_hi = sign_change_window(p, n_max)
-    xs = np.geomspace(x_lo, x_hi, grid_points)
-    grid = WeightGrid(p, n_max, xs, bits=max(160, 64 + 10 * n_max))
+    xs = np.geomspace(*sign_change_window(p, n_max), grid_points)
+    grid = WeightGrid(p, n_max, xs, bits=bits_for(n_max))
     return [count_sign_changes(p, n, grid_points, bisect_steps,
                                _grid=(xs, grid.q_values(n)))
             for n in range(n_max + 1)]
@@ -580,17 +577,14 @@ def count_sign_changes(p: Params, n: int, grid_points: int = 2048,
     genuine crossing.  A grid value of exactly zero would indicate a
     degenerate touching zero and is reported as an error.
     """
-    if _grid is not None:
-        xs, vals = _grid
-    else:
-        x_lo, x_hi = sign_change_window(p, n)
-        xs = np.geomspace(x_lo, x_hi, grid_points)
-        grid = WeightGrid(p, n, xs, bits=max(160, 64 + 10 * n))
-        vals = grid.q_values(n)
+    if _grid is None:
+        xs = np.geomspace(*sign_change_window(p, n), grid_points)
+        _grid = xs, WeightGrid(p, n, xs, bits=bits_for(n)).q_values(n)
+    xs, vals = _grid
     if np.any(vals == 0.0):
         raise BmopError("degenerate zero hit exactly on the scan grid")
     flips = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
-    ext = PrecisionConfig(mode="extended", mantissa_bits=max(128, 64 + 10 * n))
+    ext = PrecisionConfig(mode="extended", mantissa_bits=bits_for(n))
     count = 0
     for idx in flips:
         lo, hi = xs[idx], xs[idx + 1]

@@ -1,9 +1,14 @@
-"""Precision configuration and a sign/log-magnitude value carrier.
+"""Precision configuration, the rule for working bits, and a value carrier.
 
 All overflow-prone quantities (gamma ratios, Bessel weights, normalization
 constants) travel as LogValue so that degrees up to a few hundred never
 leave the representable range.  Extended mode backs evaluations with mpmath
 at a configurable mantissa width.
+
+Q_n and P_n are alternating sums; cancelling by r = max term / |sum| costs
+log2(r) bits (Higham, Accuracy and Stability of Numerical Algorithms, 4.2).
+`bits_for` alone turns a degree or a measured r into working bits.  Q_n and
+P_n lose <= 42 bits at n = 15 and 65 at n = 30 on the sign window, P_80 66-69.
 """
 
 from __future__ import annotations
@@ -36,6 +41,13 @@ class PrecisionConfig:
 
 DOUBLE = PrecisionConfig()
 EXTENDED = PrecisionConfig(mode="extended")
+
+
+def bits_for(n: int, ratio: float = math.inf) -> int:
+    """Working bits, at most 4000: 53 for the double result, 48 guard bits and the
+    loss, log2(ratio) for a measured ratio, else (inf or nan) 4 max(n, 10) bits."""
+    lost = int(math.log2(max(ratio, 1.0))) if math.isfinite(ratio) else 4 * max(n, 10)
+    return min(53 + 48 + lost, 4000)
 
 
 def from_env(default: PrecisionConfig = DOUBLE) -> PrecisionConfig:

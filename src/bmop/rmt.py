@@ -19,10 +19,10 @@ from dataclasses import dataclass, field
 import mpmath
 import numpy as np
 from mpmath import mp
-from scipy import stats
+from scipy import special
 
 from .errors import BinUnderflowWarning, DimensionError, DomainError
-from .precision import DOUBLE, PrecisionConfig
+from .precision import DOUBLE, PrecisionConfig, bits_for
 from . import mopoly, quad, recurrence
 from .specfun import Params
 
@@ -161,12 +161,13 @@ def kernel_density_curve(spec: KernelSpec, grid) -> list:
         raise DomainError("grid must be a non-empty 1-d sequence")
     if np.any(xs <= 0) or np.any(np.diff(xs) <= 0):
         raise DomainError("grid must be strictly positive and increasing")
-    p = spec.params
-    wg = mopoly.WeightGrid(p, spec.n - 1, xs, bits=max(160, 64 + 12 * spec.n))
-    dens = np.zeros(len(xs))
-    for k in range(spec.n):
-        dens += wg.q_values(k) * wg.p_values(k)
-    return list(zip(xs.tolist(), dens.tolist()))
+    return list(zip(xs.tolist(), _diagonal_density(spec, xs).tolist()))
+
+
+def _diagonal_density(spec: KernelSpec, xs) -> np.ndarray:
+    """K_n(x, x) = sum_{k<n} Q_k(x) P_k(x) at the nodes xs, from one weight table."""
+    wg = mopoly.WeightGrid(spec.params, spec.n - 1, xs, bits=bits_for(spec.n - 1))
+    return sum(wg.q_values(k) * wg.p_values(k) for k in range(spec.n))
 
 
 def _diagonal_integrals(spec: KernelSpec, cfg: quad.QuadConfig, bits: int,
@@ -262,20 +263,15 @@ class DensityReport:
         resid = (self.observed - self.expected) ** 2 / self.expected
         self.chi_square = float(np.sum(resid))
         self.dof = max(len(self.observed) - 1, 1)
-        self.p_value = float(stats.chi2.sf(self.chi_square, self.dof))
+        self.p_value = float(special.chdtrc(self.dof, self.chi_square))
 
 
 def _expected_counts(spec: KernelSpec, edges: np.ndarray, num_samples: int) -> np.ndarray:
     """num_samples * integral of K_n(x,x) over each bin, by per-bin 20-point
-    Gauss panels in the u = sqrt(x) variable on one shared 200-bit weight
-    table."""
-    p = spec.params
+    Gauss panels in the u = sqrt(x) variable on one shared weight table."""
     order = 20
     us, ws = quad.gauss_panels(np.sqrt(edges), order)
-    wg = mopoly.WeightGrid(p, spec.n - 1, us * us, bits=200)
-    dens = np.zeros(len(us))
-    for k in range(spec.n):
-        dens += wg.q_values(k) * wg.p_values(k)
+    dens = _diagonal_density(spec, us * us)
     contrib = (ws * 2.0 * us * dens).reshape(len(edges) - 1, order).sum(axis=1)
     return num_samples * contrib
 

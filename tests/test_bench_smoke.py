@@ -1,5 +1,5 @@
 """One short round of the pointwise and kernel_mc benchmarks, timed and
-traced.
+traced, and one traced round of high_degree and quadrature.
 
 The benchmark's result is the last stdout line of bmop_bench/run.py; it
 must be strict JSON, report a correct run and carry exactly the metrics
@@ -41,3 +41,8 @@ def test_pointwise_round(trace, section):
 @pytest.mark.parametrize("trace,section", MODES)
 def test_kernel_mc_round(trace, section):
     _check_round("kernel_mc", trace, section)
+
+
+@pytest.mark.parametrize("workload", ["high_degree", "quadrature"])
+def test_traced_round(workload):
+    _check_round(workload, 1, "per_layer")

@@ -149,7 +149,7 @@ def test_extended_p_takes_one_k_pair(monkeypatch):
 def test_double_route_escalates_near_a_zero():
     # the terms cancel by 1.9e8 here, which leaves the double pass 4e-7 off
     x = 7.960262559627996
-    with pytest.warns(PrecisionLossWarning):
+    with pytest.warns(PrecisionLossWarning, match="cancellation ratio"):
         got = mopoly.p_eval(P0, 10, x)
     assert got == pytest.approx(mopoly.p_eval(P0, 10, x, EXT), rel=1e-8)
 
@@ -160,6 +160,18 @@ def test_overflow_beyond_double_range_raises():
     big_a = Params(0.5, 1.5, 200, 201)
     with pytest.raises(DoubleOverflow):
         mopoly.q_eval(big_a, 2, 4.0, EXT)
-    with pytest.warns(PrecisionLossWarning), pytest.raises(DoubleOverflow):
+    with pytest.warns(PrecisionLossWarning, match="double range"), \
+            pytest.raises(DoubleOverflow):
         mopoly.q_eval(big_a, 2, 4.0)
     assert mopoly.p_eval(big_a, 2, 4.0, EXT) == 0.0
+
+
+def test_escalation_names_its_cause():
+    # an underflow is a range escalation too; past degree 30 there is no
+    # double pass to measure
+    with pytest.warns(PrecisionLossWarning, match="double range"):
+        assert mopoly.p_eval(Params(0.5, 1.5, 200, 201), 2, 4.0) == 0.0
+    with pytest.warns(PrecisionLossWarning, match="degree above 30"):
+        assert mopoly.q_eval(P0, 31, 2.0) == pytest.approx(mopoly.q_eval(P0, 31, 2.0, EXT))
+    with pytest.warns(PrecisionLossWarning, match="q_eval_series: degree above 30"):
+        mopoly.q_eval_series(P0, 31, 2.0)

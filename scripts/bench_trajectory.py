@@ -15,7 +15,8 @@ the machine, both sides, the seeds, and per workload and side the runs'
 end-to-end metrics with their median and spread (the distance between the
 first and third quartiles as a share of the median, as
 bmop_bench/steady.py reports it), plus the change/parent ratio of the
-medians.  Exits 1 if a run was not correct.
+medians, and each side's src_lines (the line count of its src/bmop/*.py,
+as wc -l gives it).  Exits 1 if a run was not correct.
 """
 
 from __future__ import annotations
@@ -46,6 +47,10 @@ def checkout(side: str, workdir: Path) -> tuple[Path, str]:
                              capture_output=True).stdout
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
     return dest, commit
+
+
+def src_lines(tree: Path) -> int:
+    return sum(f.read_bytes().count(b"\n") for f in (tree / "src" / "bmop").glob("*.py"))
 
 
 def machine() -> dict:
@@ -98,6 +103,7 @@ def main() -> int:
         (parent, parent_id), (change, change_id) = (
             checkout(side, Path(workdir)) for side in (args.parent, args.change))
         report = {"machine": machine(), "parent": parent_id, "change": change_id,
+                  "src_lines": {"parent": src_lines(parent), "change": src_lines(change)},
                   "seeds": seeds, "seconds": spec["run_seconds"], "workloads": {}}
         correct = True
         for workload in args.workloads:

@@ -15,9 +15,9 @@ import mpmath
 from mpmath import mp
 
 from .errors import DomainError
-from .mopoly import _horner
-from .precision import DOUBLE, PrecisionConfig, bits_for
-from .specfun import Params, omega, omega_ladder_mp, pochhammer, rho, rho_ladder_mp
+from .mopoly import _horner, _p_family, _q_family
+from .precision import DOUBLE, MAX_BITS, PrecisionConfig, bits_for
+from .specfun import Params, pochhammer
 
 
 @dataclass(frozen=True)
@@ -63,39 +63,24 @@ def shift_pair(order_base: float, m: int) -> ShiftPair:
     return ShiftPair(tuple(r), tuple(s), m, order_base)
 
 
-def _shift_eval_mp(m: int, base_order: float, scale: float,
-                   ladder_mp, x: float, bits: int) -> float:
-    """Exact-coefficient reconstruction at working precision `bits`.
+def _shift_eval(label: str, f, m: int, x: float, precision: PrecisionConfig) -> float:
+    """The family's weight of order order+m rebuilt from orders order and
+    order+1, with the signed scale kappa * scale.
 
-    The pair is rebuilt from the mpf order: the double coefficients carry
-    rounding that the cancelling sum would amplify past any precision.
+    The reconstruction cancels by a factor that grows like
+    Gamma(order+m)^2 / (scale^2 x)^m near the origin, so a fixed double
+    pass cannot hold a uniform tolerance; the double pass here is a
+    cancellation probe and the final digits come from an escalated pass
+    when needed.
     """
-    with mp.workprec(bits):
-        base = mp.mpf(base_order)
-        pair = shift_pair(base, m)
-        sc = mp.mpf(scale)
-        xm = mp.mpf(x)
-        arg = sc * sc * xm
-        w0, w1 = ladder_mp(base, abs(scale), xm, 1, bits)
-        r = mpmath.fsum(c * arg ** k for k, c in enumerate(pair.r_poly))
-        s = mpmath.fsum(c * arg ** k for k, c in enumerate(pair.s_poly))
-        return float(sc ** (-pair.m) * r * w0 + sc ** (1 - pair.m) * s * w1)
-
-
-def _shift_combine(pair: ShiftPair, base_order: float, scale: float,
-                   w0: float, w1: float, ladder_mp, x: float) -> float:
-    """Combine the two-term reconstruction, escalating to multiprecision when
-    the terms cancel.
-
-    The reconstruction of the order-(base+m) weight from the two lowest
-    orders cancels by a factor that grows like Gamma(base+m)^2 / (scale^2
-    x)^m near the origin, so a fixed double pass cannot hold a uniform
-    tolerance; the double pass here is a cancellation probe and the final
-    digits come from an escalated pass when needed.
-    """
+    if x <= 0:
+        raise DomainError(f"{label} requires x > 0")
+    pair = shift_pair(f.order, m)
+    scale = f.kappa * f.scale
+    w0, w1 = (f.weight(f.order + k, f.scale, x, precision).value() for k in (0, 1))
     arg = scale * scale * x
-    t0 = scale ** (-pair.m) * pair.r_at(arg) * w0
-    t1 = scale ** (1 - pair.m) * pair.s_at(arg) * w1
+    t0 = scale ** (-m) * pair.r_at(arg) * w0
+    t1 = scale ** (1 - m) * pair.s_at(arg) * w1
     total = t0 + t1
     biggest = max(abs(t0), abs(t1))
     if biggest == 0.0:
@@ -103,19 +88,41 @@ def _shift_combine(pair: ShiftPair, base_order: float, scale: float,
     ratio = biggest / max(abs(total), biggest * 1e-300)
     if ratio < 1e3:
         return total
-    return _shift_eval_mp(pair.m, base_order, scale, ladder_mp, x, bits_for(pair.m, ratio))
+    return _shift_eval_mp(f, m, x, bits_for(m, ratio))
+
+
+def _shift_eval_mp(f, m: int, x: float, bits: int) -> float:
+    """Exact-coefficient reconstruction in mpf, starting at `bits`.
+
+    The pair is rebuilt from the mpf order: the double coefficients carry
+    rounding that the cancelling sum would amplify past any precision.  The
+    double probe's ratio saturates near 1/eps, so each pass measures the
+    cancellation again and is repeated at bits_for(m, ratio) bits while
+    that asks for more; a total that is zero or cancels beyond a double's
+    range doubles the bits, up to bits_for's cap.
+    """
+    while True:
+        with mp.workprec(bits):
+            order = mp.mpf(f.order)
+            pair = shift_pair(order, m)
+            sc = f.kappa * mp.mpf(f.scale)
+            xm = mp.mpf(x)
+            arg = sc * sc * xm
+            w0, w1 = f.ladder_mp(order, f.scale, xm, 1, bits)
+            t0 = sc ** (-m) * mpmath.fsum(c * arg ** k for k, c in enumerate(pair.r_poly)) * w0
+            t1 = sc ** (1 - m) * mpmath.fsum(c * arg ** k for k, c in enumerate(pair.s_poly)) * w1
+            total = t0 + t1
+            ratio = float(max(abs(t0), abs(t1)) / abs(total)) if total else math.inf
+        need = bits_for(m, ratio) if math.isfinite(ratio) else min(2 * bits, MAX_BITS)
+        if need <= bits:
+            return float(total)
+        bits = need
 
 
 def omega_shift_eval(p: Params, m: int, x: float,
                      precision: PrecisionConfig = DOUBLE) -> float:
     """First-kind weight of order mu+m rebuilt from orders mu and mu+1."""
-    if x <= 0:
-        raise DomainError("omega_shift_eval requires x > 0")
-    pair = shift_pair(p.mu, m)
-    a = p.a
-    w0 = omega(p.mu, a, x, precision).value()
-    w1 = omega(p.mu + 1, a, x, precision).value()
-    return _shift_combine(pair, p.mu, a, w0, w1, omega_ladder_mp, x)
+    return _shift_eval("omega_shift_eval", _q_family(p), m, x, precision)
 
 
 def rho_shift_eval(p: Params, m: int, x: float,
@@ -126,10 +133,4 @@ def rho_shift_eval(p: Params, m: int, x: float,
     the sign alternation in m is the structural difference between the
     two families.
     """
-    if x <= 0:
-        raise DomainError("rho_shift_eval requires x > 0")
-    pair = shift_pair(p.nu, m)
-    b = p.b
-    r0 = rho(p.nu, b, x, precision).value()
-    r1 = rho(p.nu + 1, b, x, precision).value()
-    return _shift_combine(pair, p.nu, -b, r0, r1, rho_ladder_mp, x)
+    return _shift_eval("rho_shift_eval", _p_family(p), m, x, precision)

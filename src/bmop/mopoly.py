@@ -7,6 +7,14 @@ cross-validate each other:
 * a double-series route for Q_n (q_eval_series),
 * polynomial-pair reconstruction (a_polys / b_polys).
 
+The two families are dual: swapping (mu, a, I) for (nu, b, K) and
+multiplying by c_n turns each explicit formula for Q_n into the one for
+P_n.  A private _Family record holds what differs: the weight order and
+scale, kappa (+1 for I, -1 for K), whether c_n leads, the double weight and
+the order ladder.  Each route (coefficients, expansion, determinant,
+polynomial pair, weight table) has one implementation over the record, and
+the q_/p_, a_/b_ names are thin entry points to it.
+
 Alternating coefficient sums cancel near the zeros of the forms: a double
 pass escalates to extended precision when its max-term/result ratio exceeds
 1e5, when the value leaves double range, or for n > 30.  Every bit count
@@ -19,7 +27,7 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from typing import Callable
 
 import mpmath
 import numpy as np
@@ -29,7 +37,7 @@ from .errors import (BmopError, CapExceeded, DomainError, DoubleOverflow, NonCon
                      PrecisionLossWarning)
 from .precision import DOUBLE, LogValue, PrecisionConfig, bits_for, logsum
 from . import specfun
-from .specfun import Params, log_gamma, log_gamma_ratio, omega, pochhammer, rho
+from .specfun import Params, log_gamma, omega, pochhammer, rho
 
 # a double term carries a few 1e-15 of rounding, which cancellation scales
 # by the ratio: 1e5 keeps the loss below the routes' 1e-9 agreement
@@ -39,19 +47,36 @@ _LOG_DOUBLE_MAX = math.log(sys.float_info.max)
 
 
 # ---------------------------------------------------------------------------
+# the two families
+
+@dataclass(frozen=True)
+class _Family:
+    """What separates Q_n from P_n.  Q_n: (mu, a, +1, 1, omega); P_n:
+    (nu, b, -1, c_n, rho).  kappa is +1 for I and -1 for K; c_lead says
+    whether c_n multiplies the coefficients."""
+    params: Params
+    order: float
+    scale: float
+    kappa: int
+    c_lead: bool
+    weight: Callable        # double weight, as a LogValue
+    ladder_mp: Callable     # orders order..order+jmax at one point, as mpfs
+
+
+def _q_family(p: Params) -> _Family:
+    return _Family(p, p.mu, p.a, 1, False, omega, specfun.omega_ladder_mp)
+
+
+def _p_family(p: Params) -> _Family:
+    return _Family(p, p.nu, p.b, -1, True, rho, specfun.rho_ladder_mp)
+
+
+# ---------------------------------------------------------------------------
 # coefficient expansions
 
 @dataclass(frozen=True)
-class OmegaExpansion:
-    """Q_n = sum_j coeffs[j] * omega(mu+j, a, .)"""
-    params: Params
-    n: int
-    coeffs: tuple
-
-
-@dataclass(frozen=True)
-class RhoExpansion:
-    """P_n = sum_j coeffs[j] * rho(nu+j, b, .)"""
+class Expansion:
+    """Q_n = sum_j coeffs[j] omega(mu+j, a, .), or P_n = sum_j coeffs[j] rho(nu+j, b, .)."""
     params: Params
     n: int
     coeffs: tuple
@@ -63,77 +88,61 @@ class NormalizationC:
     value: LogValue
 
 
-def _q_coeff_logs(p: Params, n: int) -> list[LogValue]:
-    base = p.mu + p.nu + 1.0
-    ratio = -p.gap / p.a  # (a^2 - b^2)/a, negative
-    out = []
-    for j in range(n + 1):
-        c = log_gamma_ratio(base + n, base + j)
-        c = c.scaled(float(math.comb(n, j)) * (-1.0) ** n)
-        c = c * LogValue.from_float(ratio).powi(j)
-        out.append(c)
-    return out
+def _log_pref(p: Params) -> float:
+    """log of 2 (b^2-a^2)^(mu+nu+1) / (a^mu b^nu), the n-free part of c_n."""
+    return (math.log(2.0) + (p.mu + p.nu + 1.0) * math.log(p.gap)
+            - p.mu * math.log(p.a) - p.nu * math.log(p.b))
 
 
-def q_coeffs(p: Params, n: int) -> OmegaExpansion:
+def _log_top(f: _Family, n: int) -> LogValue:
+    """The lead times Gamma(base+n): Gamma(base+n) for Q_n, and for P_n
+    c_n Gamma(base+n) = 2 gap^base/(a^mu b^nu n!) formed directly."""
+    if f.c_lead:
+        return LogValue(_log_pref(f.params) - log_gamma(n + 1.0).log_magnitude, 1)
+    return log_gamma(f.params.mu + f.params.nu + 1.0 + n)
+
+
+def _coeff_logs(f: _Family, n: int) -> list[LogValue]:
+    """lead (-1)^n C(n,j) Gamma(base+n)/Gamma(base+j) (-gap/scale)^j for j = 0..n,
+    with base = mu + nu + 1."""
+    if n < 0:
+        raise DomainError("n must be >= 0")
+    base = f.params.mu + f.params.nu + 1.0
+    top = _log_top(f, n)
+    ratio = LogValue.from_float(-f.params.gap / f.scale)
+    return [(top / log_gamma(base + j)).scaled(float(math.comb(n, j)) * (-1.0) ** n)
+            * ratio.powi(j) for j in range(n + 1)]
+
+
+def _coeffs_mp(f: _Family, n: int) -> list:
+    """The same coefficients as mpfs at the working precision."""
+    p = f.params
+    base = mp.mpf(p.mu) + mp.mpf(p.nu) + 1
+    gap = mp.mpf(p.b) ** 2 - mp.mpf(p.a) ** 2
+    if f.c_lead:
+        top = 2 * gap ** base / (mp.mpf(p.a) ** p.mu * mp.mpf(p.b) ** p.nu * mpmath.factorial(n))
+    else:
+        top = mpmath.gamma(base + n)
+    ratio = -gap / f.scale
+    return [(-1) ** n * mp.mpf(math.comb(n, j)) * top * ratio ** j / mpmath.gamma(base + j)
+            for j in range(n + 1)]
+
+
+def q_coeffs(p: Params, n: int) -> Expansion:
     """Coefficients of Q_n over the shifted first-kind weights."""
-    if n < 0:
-        raise DomainError("n must be >= 0")
-    return OmegaExpansion(p, n, tuple(c.value() for c in _q_coeff_logs(p, n)))
+    return Expansion(p, n, tuple(c.value() for c in _coeff_logs(_q_family(p), n)))
 
 
-def _p_coeff_logs(p: Params, n: int) -> list[LogValue]:
-    base = p.mu + p.nu + 1.0
-    pref = LogValue(
-        math.log(2.0) + base * math.log(p.gap)
-        - p.mu * math.log(p.a) - p.nu * math.log(p.b)
-        - log_gamma(n + 1.0).log_magnitude,
-        (-1) ** n,
-    )
-    ratio = -p.gap / p.b
-    out = []
-    for j in range(n + 1):
-        d = pref.scaled(float(math.comb(n, j)))
-        d = d * LogValue.from_float(ratio).powi(j)
-        d = d / log_gamma(base + j)
-        out.append(d)
-    return out
-
-
-def p_coeffs(p: Params, n: int) -> RhoExpansion:
+def p_coeffs(p: Params, n: int) -> Expansion:
     """Coefficients of P_n over the shifted second-kind weights."""
-    if n < 0:
-        raise DomainError("n must be >= 0")
-    return RhoExpansion(p, n, tuple(d.value() for d in _p_coeff_logs(p, n)))
+    return Expansion(p, n, tuple(c.value() for c in _coeff_logs(_p_family(p), n)))
 
 
 def normalization_c(p: Params, n: int) -> NormalizationC:
     """c_n = 2 (b^2-a^2)^(mu+nu+1) / (a^mu b^nu Gamma(mu+nu+1+n) n!)."""
-    base = p.mu + p.nu + 1.0
-    lg = (math.log(2.0) + base * math.log(p.gap)
-          - p.mu * math.log(p.a) - p.nu * math.log(p.b)
-          - log_gamma(base + n).log_magnitude - log_gamma(n + 1.0).log_magnitude)
+    lg = (_log_pref(p) - log_gamma(p.mu + p.nu + 1.0 + n).log_magnitude
+          - log_gamma(n + 1.0).log_magnitude)
     return NormalizationC(n, LogValue(lg, 1))
-
-
-# mpmath coefficient generators (shared by the escalated paths)
-
-def _q_coeffs_mp(p: Params, n: int):
-    base = mp.mpf(p.mu) + mp.mpf(p.nu) + 1
-    ratio = (mp.mpf(p.a) ** 2 - mp.mpf(p.b) ** 2) / p.a
-    g_top = mpmath.gamma(base + n)
-    return [(-1) ** n * mp.mpf(math.comb(n, j)) * g_top / mpmath.gamma(base + j) * ratio ** j
-            for j in range(n + 1)]
-
-
-def _p_coeffs_mp(p: Params, n: int):
-    base = mp.mpf(p.mu) + mp.mpf(p.nu) + 1
-    gap = mp.mpf(p.b) ** 2 - mp.mpf(p.a) ** 2
-    pref = ((-1) ** n * 2 * gap ** base
-            / (mp.mpf(p.a) ** p.mu * mp.mpf(p.b) ** p.nu * mpmath.factorial(n)))
-    ratio = -gap / p.b
-    return [pref * mp.mpf(math.comb(n, j)) * ratio ** j / mpmath.gamma(base + j)
-            for j in range(n + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -154,11 +163,16 @@ def _escalation(label: str, n: int, ratio: float, in_range: bool, stacklevel: in
     return bits_for(n, ratio)
 
 
-def _expansion_eval(label: str, p: Params, n: int, x: float, precision: PrecisionConfig,
-                    coeff_logs, weight, coeffs_mp, ladder_mp, order, scale) -> float:
-    """sum_j c_j w_{order+j}(x) for either family: a double pass over the
-    coefficient logs, or one order ladder in extended precision when that is
-    asked for, n > 30, the value leaves double range or the terms cancel."""
+def _out_of_range(label: str, value, n: int, x: float) -> DoubleOverflow:
+    return DoubleOverflow(f"{label}: |value| {mpmath.nstr(abs(value), 5)} at n={n}, "
+                          f"x={x} is beyond double range")
+
+
+def _expansion_eval(label: str, f: _Family, n: int, x: float,
+                    precision: PrecisionConfig) -> float:
+    """sum_j c_j w_{order+j}(x): a double pass over the coefficient logs, or
+    one order ladder in extended precision when that is asked for, n > 30,
+    the value leaves double range or the terms cancel."""
     if x <= 0:
         raise DomainError(f"{label} requires x > 0")
     if n < 0:
@@ -166,7 +180,7 @@ def _expansion_eval(label: str, p: Params, n: int, x: float, precision: Precisio
     if precision.extended:
         bits = precision.mantissa_bits
     else:
-        terms = ([c * weight(order + j, scale, x) for j, c in enumerate(coeff_logs(p, n))]
+        terms = ([c * f.weight(f.order + j, f.scale, x) for j, c in enumerate(_coeff_logs(f, n))]
                  if n <= _ESCALATION_DEGREE else [])
         top = max((t.log_magnitude for t in terms if t.sign != 0), default=-math.inf)
         if top > _LOG_DOUBLE_MAX:  # a term beyond double range
@@ -178,24 +192,21 @@ def _expansion_eval(label: str, p: Params, n: int, x: float, precision: Precisio
         if bits is None:
             return total
     with mp.workprec(bits):
-        value = mp.fdot(coeffs_mp(p, n), ladder_mp(order, scale, x, n, bits))
+        value = mp.fdot(_coeffs_mp(f, n), f.ladder_mp(f.order, f.scale, x, n, bits))
     out = float(value)
     if math.isinf(out):
-        raise DoubleOverflow(f"{label}: |value| {mpmath.nstr(abs(value), 5)} at n={n}, "
-                             f"x={x} is beyond double range")
+        raise _out_of_range(label, value, n, x)
     return out
 
 
 def q_eval(p: Params, n: int, x: float, precision: PrecisionConfig = DOUBLE) -> float:
     """Q_n(x) from the basis expansion over shifted first-kind weights."""
-    return _expansion_eval("q_eval", p, n, x, precision, _q_coeff_logs, omega,
-                           _q_coeffs_mp, specfun.omega_ladder_mp, p.mu, p.a)
+    return _expansion_eval("q_eval", _q_family(p), n, x, precision)
 
 
 def p_eval(p: Params, n: int, x: float, precision: PrecisionConfig = DOUBLE) -> float:
     """P_n(x) from the basis expansion over shifted second-kind weights."""
-    return _expansion_eval("p_eval", p, n, x, precision, _p_coeff_logs, rho,
-                           _p_coeffs_mp, specfun.rho_ladder_mp, p.nu, p.b)
+    return _expansion_eval("p_eval", _p_family(p), n, x, precision)
 
 
 # ---------------------------------------------------------------------------
@@ -230,64 +241,52 @@ def _det_full_pivot(rows):
     return det
 
 
-def _det_bits(precision: PrecisionConfig, n: int, x: float) -> int:
+def _det_eval(f: _Family, n: int, x: float, precision: PrecisionConfig) -> float:
+    """The form from its (n+1)x(n+1) determinant: n rows of Gamma ratios
+    Gamma(base+i+j)/Gamma(base+i) over one row (gap/scale)^j w_{order+j}(x),
+    divided by prod_{k<n} k! and multiplied by c_n for P_n.
+
+    Each Gamma row is pre-scaled by its leading entry to tame the dynamic
+    range; elimination runs in extended precision regardless of mode.
+    """
     cap = 30 if precision.extended else 10
     if n > cap:
         raise CapExceeded(f"determinant oracle capped at n={cap}")
     if x <= 0:
         raise DomainError("x must be > 0")
-    return max(precision.mantissa_bits if precision.extended else 0, bits_for(n))
-
-
-def q_eval_determinant(p: Params, n: int, x: float,
-                       precision: PrecisionConfig = DOUBLE) -> float:
-    """Q_n(x) from its (n+1)x(n+1) determinant representation.
-
-    Gamma rows are pre-scaled by their leading entry to tame the dynamic
-    range; elimination runs in extended precision regardless of mode.
-    """
-    bits = _det_bits(precision, n, x)
+    bits = max(precision.mantissa_bits if precision.extended else 0, bits_for(n))
+    p = f.params
     with mp.workprec(bits):
-        mu = mp.mpf(p.mu)
-        base = mu + p.nu + 1
-        scale = mp.mpf(p.gap) / p.a
+        order = mp.mpf(f.order)
+        base = mp.mpf(p.mu) + p.nu + 1
+        scale = mp.mpf(p.gap) / f.scale
         rows = []
         for i in range(n):
             g0 = mpmath.gamma(base + i)
             rows.append([mpmath.gamma(base + i + j) / g0 for j in range(n + 1)])
-        weights = specfun.omega_ladder_mp(mu, p.a, x, n, bits)
+        weights = f.ladder_mp(order, f.scale, x, n, bits)
         rows.append([scale ** j * w for j, w in enumerate(weights)])
         det = _det_full_pivot(rows)
         # row scaling cancels Gamma(base+k) in the stated normalizer,
         # leaving prod k!
         for k in range(n):
             det /= mpmath.factorial(k)
+        if f.c_lead:
+            det *= normalization_c(p, n).value.mpf(bits)
         return float(det)
+
+
+def q_eval_determinant(p: Params, n: int, x: float,
+                       precision: PrecisionConfig = DOUBLE) -> float:
+    """Q_n(x) from its (n+1)x(n+1) determinant representation."""
+    return _det_eval(_q_family(p), n, x, precision)
 
 
 def p_eval_determinant(p: Params, n: int, x: float,
                        precision: PrecisionConfig = DOUBLE) -> float:
-    """P_n(x) from its determinant representation (last column of weights)."""
-    bits = _det_bits(precision, n, x)
-    cn = normalization_c(p, n).value
-    with mp.workprec(bits):
-        nu = mp.mpf(p.nu)
-        base = nu + p.mu + 1
-        scale = mp.mpf(p.gap) / p.b
-        weights = specfun.rho_ladder_mp(nu, p.b, x, n, bits)
-        rows = []
-        for i in range(n + 1):
-            g0 = mpmath.gamma(base + i)
-            row = [mpmath.gamma(base + i + j) / g0 for j in range(n)]
-            row.append(scale ** i * weights[i] / g0)
-            rows.append(row)
-        det = _det_full_pivot(rows)
-        for k in range(n):
-            det /= mpmath.factorial(k)
-        # row scaling removed Gamma(base+i) for every row incl. the weight
-        # column; the normalizer only cancels the first n of them
-        det *= mpmath.gamma(base + n)
-        return float(det * cn.mpf(bits))
+    """P_n(x) from its determinant representation: Q_n's with the
+    second-kind weights and scale gap/b, times c_n."""
+    return _det_eval(_p_family(p), n, x, precision)
 
 
 # ---------------------------------------------------------------------------
@@ -324,16 +323,21 @@ def _gamma_like(one, v):
 
 
 def _q_series_run(p: Params, n: int, x: float, one, rel_tol: float):
+    """(sum, largest term bound); a double sum stops once it leaves double range."""
     acc = one * 0
     max_term = one * 0
-    a2x = p.a * p.a * x
+    # the outer sum is (a sqrt x)^-mu I_mu(2 a sqrt x) term by term, whose
+    # largest term sits near k = a sqrt x
+    peak = p.a * math.sqrt(x)
     small_streak = 0
     for k, (outer, s, s_abs) in enumerate(_q_series_terms(p, n, x, one)):
         acc += outer * s
+        if not mpmath.isfinite(acc):
+            break
         bound = outer * s_abs
         if bound > max_term:
             max_term = bound
-        if k > a2x and bound < rel_tol * max(abs(acc), max_term * 1e-16):
+        if k > peak and bound < rel_tol * max(abs(acc), max_term * 1e-16):
             small_streak += 1
             if small_streak >= 3:
                 break
@@ -358,12 +362,18 @@ def q_eval_series(p: Params, n: int, x: float, precision: PrecisionConfig = DOUB
     else:
         acc, max_term = _q_series_run(p, n, x, 1.0, 1e-17)
         ratio = math.inf if acc == 0 else max_term / abs(acc)
-        bits = _escalation("q_eval_series", n, ratio, math.isfinite(acc), stacklevel=2)
+        # false for a nan or inf sum; max(., 1) also keeps exp(pref_log) finite
+        in_range = pref_log + math.log(max(abs(acc), 1.0)) < _LOG_DOUBLE_MAX
+        bits = _escalation("q_eval_series", n, ratio, in_range, stacklevel=2)
         if bits is None:
             return pref_sign * math.exp(pref_log) * acc
     with mp.workprec(bits):
         acc, _ = _q_series_run(p, n, x, mp.mpf(1), float(10 ** (-mp.dps)))
-        return float(pref_sign * mpmath.exp(mp.mpf(pref_log)) * acc)
+        value = pref_sign * mpmath.exp(mp.mpf(pref_log)) * acc
+    out = float(value)
+    if math.isinf(out):
+        raise _out_of_range("q_eval_series", value, n, x)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -387,13 +397,8 @@ class PolyPair:
 
     def reconstruct(self, x: float, precision: PrecisionConfig = DOUBLE) -> float:
         """Rebuild the linear form from the pair and the two base weights."""
-        p = self.params
-        if self.kind == "A":
-            w0 = omega(p.mu, p.a, x, precision).value()
-            w1 = omega(p.mu + 1, p.a, x, precision).value()
-        else:
-            w0 = rho(p.nu, p.b, x, precision).value()
-            w1 = rho(p.nu + 1, p.b, x, precision).value()
+        f = (_q_family if self.kind == "A" else _p_family)(self.params)
+        w0, w1 = (f.weight(f.order + k, f.scale, x, precision).value() for k in (0, 1))
         return self.eval_first(x) * w0 + self.eval_second(x) * w1
 
 
@@ -404,43 +409,38 @@ def _horner(coeffs, x):
     return out
 
 
+def _poly_pair(f: _Family, n: int) -> PolyPair:
+    """The pair multiplying w_order and w_{order+1}: the coefficients' shift
+    polynomials evaluated at scale^2 x, with q = kappa gap/scale^2.  Both
+    members carry (-1)^n, the second also -kappa."""
+    if n < 1:
+        raise DomainError("polynomial pairs require n >= 1")
+    p = f.params
+    base = p.mu + p.nu + 1.0
+    q = f.kappa * p.gap / (f.scale * f.scale)
+    top = _log_top(f, n)
+    sign = (-1.0) ** n
+
+    def coeff(i: int, shift: int) -> float:
+        # the x^i coefficient inherits scale^(2i + shift) from evaluating the
+        # shift polynomial at scale^2 x
+        terms = []
+        for j in range(2 * i + shift, n + 1):
+            t = (top / log_gamma(base + j)).value()
+            t *= math.comb(n, j) * math.comb(j - i - 1, i - 1 + shift) * q ** j
+            t *= pochhammer(f.order + i + 1.0, j - 2 * i - shift)
+            terms.append(t)
+        return f.scale ** (2 * i + shift) * math.fsum(terms)
+
+    first = [sign * (top / log_gamma(base)).value()]
+    first += [sign * coeff(i, 0) for i in range(1, n // 2 + 1)]
+    second = [-f.kappa * sign * coeff(i, 1) for i in range((n - 1) // 2 + 1)]
+    return PolyPair(tuple(first), tuple(second), "A" if f.kappa > 0 else "B", n, p)
+
+
 def a_polys(p: Params, n: int) -> PolyPair:
     """Polynomial pair (A_{n,1}, A_{n,2}) multiplying the first-kind weights."""
-    if n < 1:
-        raise DomainError("a_polys requires n >= 1")
-    base = p.mu + p.nu + 1.0
-    q = p.gap / (p.a * p.a)
-    g_top = log_gamma(base + n)
-    sign1 = (-1.0) ** n
-    sign2 = (-1.0) ** (n + 1)
-
-    first = []
-    for i in range(n // 2 + 1):
-        if i == 0:
-            s = (g_top / log_gamma(base)).value()
-        else:
-            terms = []
-            for j in range(2 * i, n + 1):
-                t = (g_top / log_gamma(base + j)).value()
-                t *= math.comb(n, j) * math.comb(j - i - 1, i - 1) * q ** j
-                t *= pochhammer(p.mu + i + 1.0, j - 2 * i)
-                terms.append(t)
-            s = (p.a ** (2 * i)) * math.fsum(terms)
-        first.append(sign1 * s)
-
-    second = []
-    for i in range((n - 1) // 2 + 1):
-        terms = []
-        for j in range(2 * i + 1, n + 1):
-            t = (g_top / log_gamma(base + j)).value()
-            t *= math.comb(n, j) * math.comb(j - i - 1, i) * q ** j
-            t *= pochhammer(p.mu + i + 1.0, j - 2 * i - 1)
-            terms.append(t)
-        # the x^i coefficient inherits a^(2i) from evaluating the shift
-        # polynomial at a^2 x
-        second.append(sign2 * p.a ** (2 * i + 1) * math.fsum(terms))
-
-    return PolyPair(tuple(first), tuple(second), "A", n, p)
+    return _poly_pair(_q_family(p), n)
 
 
 def b_polys(p: Params, n: int) -> PolyPair:
@@ -448,38 +448,7 @@ def b_polys(p: Params, n: int) -> PolyPair:
 
     Both members carry the same global sign, unlike the A pair.
     """
-    if n < 1:
-        raise DomainError("b_polys requires n >= 1")
-    base = p.mu + p.nu + 1.0
-    q = -(p.gap / (p.b * p.b))  # (a^2 - b^2)/b^2, negative
-    pref = normalization_c(p, n).value * log_gamma(base + n)  # 2 gap^(mu+nu+1)/(a^mu b^nu n!)
-    sign = (-1.0) ** n
-
-    first = []
-    for i in range(n // 2 + 1):
-        if i == 0:
-            s = 1.0 / math.exp(log_gamma(base).log_magnitude)
-        else:
-            terms = []
-            for j in range(2 * i, n + 1):
-                t = math.comb(n, j) * math.comb(j - i - 1, i - 1) * q ** j
-                t *= pochhammer(p.nu + i + 1.0, j - 2 * i)
-                t /= math.exp(log_gamma(base + j).log_magnitude)
-                terms.append(t)
-            s = (p.b ** (2 * i)) * math.fsum(terms)
-        first.append(sign * pref.value() * s)
-
-    second = []
-    for i in range((n - 1) // 2 + 1):
-        terms = []
-        for j in range(2 * i + 1, n + 1):
-            t = math.comb(n, j) * math.comb(j - i - 1, i) * q ** j
-            t *= pochhammer(p.nu + i + 1.0, j - 2 * i - 1)
-            t /= math.exp(log_gamma(base + j).log_magnitude)
-            terms.append(t)
-        second.append(sign * pref.value() * p.b ** (2 * i + 1) * math.fsum(terms))
-
-    return PolyPair(tuple(first), tuple(second), "B", n, p)
+    return _poly_pair(_p_family(p), n)
 
 
 # ---------------------------------------------------------------------------
@@ -503,37 +472,27 @@ class WeightGrid:
         self.bits = bits
         with mp.workprec(bits + 20):
             self._xs_mp = [mp.mpf(x) for x in xs]
+        self._tables = {}
 
-    # one order ladder per node, columns transposed to tab[j][k]
-
-    @cached_property
-    def omega_tab(self) -> list:
-        """omega_tab[j][k] = omega_{mu+j,a}(xs[k]) for j <= jmax."""
-        p = self.params
-        return list(zip(*(specfun.omega_ladder_mp(p.mu, p.a, x, self.jmax, self.bits)
-                          for x in self._xs_mp)))
-
-    @cached_property
-    def rho_tab(self) -> list:
-        """rho_tab[j][k] = rho_{nu+j,b}(xs[k]) for j <= jmax."""
-        p = self.params
-        return list(zip(*(specfun.rho_ladder_mp(p.nu, p.b, x, self.jmax, self.bits)
-                          for x in self._xs_mp)))
-
-    def _values_mp(self, n: int, coeffs_mp, family: str) -> list:
+    def _values_mp(self, f: _Family, n: int) -> list:
+        """The family's form at every node, from tab[j][k] = w_{order+j}(xs[k])."""
         if n > self.jmax:
             raise CapExceeded("grid built for smaller jmax")
-        tab = getattr(self, family)
+        if f.kappa not in self._tables:
+            # one order ladder per node, columns transposed to tab[j][k]
+            self._tables[f.kappa] = list(zip(*(f.ladder_mp(f.order, f.scale, x, self.jmax,
+                                                           self.bits) for x in self._xs_mp)))
+        tab = self._tables[f.kappa]
         with mp.workprec(self.bits):
-            coeffs = coeffs_mp(self.params, n)
+            coeffs = _coeffs_mp(f, n)
             return [mpmath.fsum(coeffs[j] * tab[j][k] for j in range(n + 1))
                     for k in range(len(self.xs))]
 
     def q_values_mp(self, n: int) -> list:
-        return self._values_mp(n, _q_coeffs_mp, "omega_tab")
+        return self._values_mp(_q_family(self.params), n)
 
     def p_values_mp(self, n: int) -> list:
-        return self._values_mp(n, _p_coeffs_mp, "rho_tab")
+        return self._values_mp(_p_family(self.params), n)
 
     def q_values(self, n: int) -> np.ndarray:
         return np.array([float(v) for v in self.q_values_mp(n)])
@@ -564,23 +523,25 @@ def sign_change_profile(p: Params, n_max: int, grid_points: int = 3072,
     """
     xs = np.geomspace(*sign_change_window(p, n_max), grid_points)
     grid = WeightGrid(p, n_max, xs, bits=bits_for(n_max))
-    return [count_sign_changes(p, n, grid_points, bisect_steps,
-                               _grid=(xs, grid.q_values(n)))
+    return [_count_on_grid(p, n, xs, grid.q_values(n), bisect_steps)
             for n in range(n_max + 1)]
 
 
 def count_sign_changes(p: Params, n: int, grid_points: int = 2048,
-                       bisect_steps: int = 12, _grid=None) -> int:
-    """Number of sign changes of Q_n on (0, inf).
+                       bisect_steps: int = 12) -> int:
+    """Number of sign changes of Q_n on (0, inf)."""
+    xs = np.geomspace(*sign_change_window(p, n), grid_points)
+    return _count_on_grid(p, n, xs, WeightGrid(p, n, xs, bits=bits_for(n)).q_values(n),
+                          bisect_steps)
 
-    Scans a log-spaced grid, then bisects every bracketed root to confirm a
-    genuine crossing.  A grid value of exactly zero would indicate a
-    degenerate touching zero and is reported as an error.
+
+def _count_on_grid(p: Params, n: int, xs, vals, bisect_steps: int) -> int:
+    """Sign changes of Q_n among its values `vals` on the log-spaced grid `xs`.
+
+    Every bracketed root is bisected to confirm a genuine crossing.  A grid
+    value of exactly zero would indicate a degenerate touching zero and is
+    reported as an error.
     """
-    if _grid is None:
-        xs = np.geomspace(*sign_change_window(p, n), grid_points)
-        _grid = xs, WeightGrid(p, n, xs, bits=bits_for(n)).q_values(n)
-    xs, vals = _grid
     if np.any(vals == 0.0):
         raise BmopError("degenerate zero hit exactly on the scan grid")
     flips = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]

@@ -43,11 +43,14 @@ DOUBLE = PrecisionConfig()
 EXTENDED = PrecisionConfig(mode="extended")
 
 
+MAX_BITS = 4000
+
+
 def bits_for(n: int, ratio: float = math.inf) -> int:
-    """Working bits, at most 4000: 53 for the double result, 48 guard bits and the
+    """Working bits, at most MAX_BITS: 53 for the double result, 48 guard bits and the
     loss, log2(ratio) for a measured ratio, else (inf or nan) 4 max(n, 10) bits."""
     lost = int(math.log2(max(ratio, 1.0))) if math.isfinite(ratio) else 4 * max(n, 10)
-    return min(53 + 48 + lost, 4000)
+    return min(53 + 48 + lost, MAX_BITS)
 
 
 def from_env(default: PrecisionConfig = DOUBLE) -> PrecisionConfig:

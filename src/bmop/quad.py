@@ -221,8 +221,8 @@ def biorth_matrix_moments(p: Params, N: int) -> BiorthReport:
     evaluated at 199 bits (finite gamma sums, no truncation)."""
     with mp.workprec(199):
         moments = [[_moment_mp(p, i, j) for j in range(N)] for i in range(N)]
-        qc = [mopoly._q_coeffs_mp(p, n) for n in range(N)]
-        pc = [mopoly._p_coeffs_mp(p, m) for m in range(N)]
+        qc = [mopoly._coeffs_mp(mopoly._q_family(p), n) for n in range(N)]
+        pc = [mopoly._coeffs_mp(mopoly._p_family(p), m) for m in range(N)]
         out = np.empty((N, N))
         for n in range(N):
             for m in range(N):
@@ -315,12 +315,12 @@ def q_rho_moment(p: Params, n: int, j: int) -> float:
     """Integral of Q_n against the (nu+j)-shifted second-kind weight via the
     closed-form moments (vanishes for j < n)."""
     with mp.workprec(200):
-        qc = mopoly._q_coeffs_mp(p, n)
+        qc = mopoly._coeffs_mp(mopoly._q_family(p), n)
         return float(mpmath.fsum(qc[i] * _moment_mp(p, i, j) for i in range(n + 1)))
 
 
 def q_rho_moment_scale(p: Params, n: int, j: int) -> float:
     """Largest |term| in q_rho_moment, for relative-vanishing checks."""
     with mp.workprec(200):
-        qc = mopoly._q_coeffs_mp(p, n)
+        qc = mopoly._coeffs_mp(mopoly._q_family(p), n)
         return float(max(abs(qc[i] * _moment_mp(p, i, j)) for i in range(n + 1)))

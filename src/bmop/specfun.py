@@ -71,14 +71,6 @@ def pochhammer(x: float, k: int) -> float:
     return out
 
 
-def log_gamma_ratio(p: float, q: float) -> LogValue:
-    """Gamma(p)/Gamma(q) carried in log space."""
-    if _is_nonpositive_integer(p) or _is_nonpositive_integer(q):
-        raise PoleError(f"gamma pole at p={p}, q={q}")
-    sign = int(sp.gammasgn(p) * sp.gammasgn(q))
-    return LogValue(float(sp.gammaln(p) - sp.gammaln(q)), sign)
-
-
 def log_gamma(p: float) -> LogValue:
     if _is_nonpositive_integer(p):
         raise PoleError(f"gamma pole at {p}")

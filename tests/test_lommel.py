@@ -5,11 +5,13 @@ from mpmath import mp
 from bmop import lommel
 from bmop.errors import DomainError
 from bmop.precision import PrecisionConfig
-from bmop.specfun import Params, omega, omega_mp, rho
+from bmop.specfun import Params, omega, omega_mp, rho, rho_mp
 
 EXT = PrecisionConfig(mode="extended", mantissa_bits=300)
 P0 = Params(mu=0.5, nu=1.5, a=1.0, b=2.0)
 P1 = Params(mu=0.0, nu=1.0, a=0.8, b=1.6)
+DEEP = {"S0": P0, "S1": P1, "generic": Params(0.3, 1.3, 0.9, 1.8),
+        "small_a": Params(-0.6, 0.4, 1e-3, 0.05)}
 
 
 class TestShiftPair:
@@ -77,6 +79,33 @@ class TestReconstruction:
         ref = rho(p.nu + m, p.b, x, EXT).value()
         assert correct == pytest.approx(ref, rel=1e-9)
         assert abs(naive - ref) > 1e-3 * abs(ref)
+
+    @pytest.mark.parametrize("p", DEEP.values(), ids=DEEP)
+    def test_omega_shift_deep_cancellation(self, p):
+        # past m = 12 and below x = 0.1 the two terms cancel beyond 1/eps,
+        # where the double probe's ratio saturates; only the mpf pass can
+        # measure how many bits the value needs
+        for m in range(12, 25):
+            for x in (0.1, 0.02):
+                ref = float(omega_mp(mp.mpf(p.mu) + m, p.a, x, 600))
+                assert lommel.omega_shift_eval(p, m, x) == pytest.approx(ref, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("p", DEEP.values(), ids=DEEP)
+    def test_rho_shift_deep_orders(self, p):
+        # the second-kind identity shares the escalation code
+        for m in range(12, 25):
+            for x in (0.1, 0.02):
+                ref = float(rho_mp(mp.mpf(p.nu) + m, p.b, x, 600))
+                assert lommel.rho_shift_eval(p, m, x) == pytest.approx(ref, rel=1e-12, abs=0)
+
+    def test_omega_shift_small_scale(self):
+        # at a = 1e-3 the terms cancel like a^(-2m), far beyond 1/eps even
+        # at m <= 12 and x = 20
+        p = DEEP["small_a"]
+        for m in range(13):
+            for x in np.geomspace(0.1, 20.0, 7):
+                ref = float(omega_mp(mp.mpf(p.mu) + m, p.a, float(x), 600))
+                assert lommel.omega_shift_eval(p, m, float(x)) == pytest.approx(ref, rel=1e-9)
 
     def test_x_positive_required(self):
         with pytest.raises(DomainError):

@@ -12,6 +12,14 @@ from bmop.specfun import Params, omega, rho
 EXT = PrecisionConfig(mode="extended", mantissa_bits=300)
 P0 = Params(mu=0.5, nu=1.5, a=1.0, b=2.0)
 P1 = Params(mu=0.0, nu=1.0, a=0.8, b=1.6)
+# generic orders, integer orders, a small scale a and b/a = 1.01
+OFF_PRESETS = {"generic": Params(0.3, 1.3, 0.9, 1.8), "integer": Params(2.0, 3.0, 0.5, 1.7),
+               "small_a": Params(-0.6, 0.4, 1e-3, 0.05), "near_b": Params(0.5, 1.5, 1.0, 1.01)}
+# (expansion, determinant, polynomial pair, weight) of each family
+FAMILIES = {"Q": (mopoly.q_eval, mopoly.q_eval_determinant, mopoly.a_polys,
+                  lambda p, j, x: omega(p.mu + j, p.a, x, EXT).value()),
+            "P": (mopoly.p_eval, mopoly.p_eval_determinant, mopoly.b_polys,
+                  lambda p, j, x: rho(p.nu + j, p.b, x, EXT).value())}
 
 
 class TestExpansions:
@@ -69,6 +77,16 @@ class TestOracles:
             scale = max(abs(direct), abs(mopoly.p_eval(p, n, 1.0)))
             assert abs(direct - det) <= 1e-10 * scale
 
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("p", OFF_PRESETS.values(), ids=OFF_PRESETS)
+    def test_determinant_agrees_off_presets(self, family, p):
+        expansion, determinant, _, _ = FAMILIES[family]
+        for n in range(8):
+            for x in (0.2, 1.0, 4.0):
+                direct = expansion(p, n, x)
+                scale = max(abs(direct), abs(expansion(p, n, 1.0)))
+                assert abs(direct - determinant(p, n, x)) <= 1e-10 * scale
+
 
 class TestPolyPairs:
     def test_a1_constants(self):
@@ -92,6 +110,20 @@ class TestPolyPairs:
             got = mopoly.b_polys(p, n).reconstruct(x, EXT)
             ref = mopoly.p_eval(p, n, x, EXT)
             assert got == pytest.approx(ref, rel=1e-10)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("p", OFF_PRESETS.values(), ids=OFF_PRESETS)
+    def test_pair_reconstructs_off_presets(self, family, p):
+        # the pair's two terms cancel by up to 1e18 at a = 1e-3 and n = 7,
+        # beyond what a double combination keeps, so the bound is relative to
+        # the terms; the error stays below 1e-14 of them on every set
+        expansion, _, polys, weight = FAMILIES[family]
+        for n in range(1, 8):
+            pair = polys(p, n)
+            for x in (0.3, 1.5, 6.0):
+                terms = (abs(pair.eval_first(x) * weight(p, 0, x))
+                         + abs(pair.eval_second(x) * weight(p, 1, x)))
+                assert abs(pair.reconstruct(x, EXT) - expansion(p, n, x, EXT)) <= 1e-13 * terms
 
     def test_degrees(self):
         pair = mopoly.a_polys(P0, 5)
@@ -175,3 +207,21 @@ def test_escalation_names_its_cause():
         assert mopoly.q_eval(P0, 31, 2.0) == pytest.approx(mopoly.q_eval(P0, 31, 2.0, EXT))
     with pytest.warns(PrecisionLossWarning, match="q_eval_series: degree above 30"):
         mopoly.q_eval_series(P0, 31, 2.0)
+
+
+def test_series_stops_past_its_peak():
+    # the terms peak near k = a sqrt(x) = 28; (a^2 x)^k / k! alone peaks at
+    # k = a^2 x = 800 and leaves double range on the way
+    p = Params(0.5, 1.5, 20, 21)
+    assert mopoly.q_eval_series(p, 2, 2.0) == pytest.approx(mopoly.q_eval(p, 2, 2.0), rel=1e-9)
+
+
+def test_series_beyond_double_range_raises():
+    # Q_2(4) at a = 200 is 2.2e346: the double sum overflows and escalates,
+    # and the extended value does not fit a double
+    big_a = Params(0.5, 1.5, 200, 201)
+    with pytest.raises(DoubleOverflow):
+        mopoly.q_eval_series(big_a, 2, 4.0, EXT)
+    with pytest.warns(PrecisionLossWarning, match="double range"), \
+            pytest.raises(DoubleOverflow):
+        mopoly.q_eval_series(big_a, 2, 4.0)

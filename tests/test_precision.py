@@ -82,7 +82,7 @@ def _sign_window_loss(p, n, points=60, bits=800):
     lo, hi = mopoly.sign_change_window(p, n)
     worst = 0.0
     with mp.workprec(bits):
-        qc, pc = mopoly._q_coeffs_mp(p, n), mopoly._p_coeffs_mp(p, n)
+        qc, pc = (mopoly._coeffs_mp(f(p), n) for f in (mopoly._q_family, mopoly._p_family))
         for x in np.geomspace(lo, hi, points):
             for coeffs, ladder in ((qc, specfun.omega_ladder_mp(p.mu, p.a, x, n, bits)),
                                    (pc, specfun.rho_ladder_mp(p.nu, p.b, x, n, bits))):

@@ -16,7 +16,11 @@ end-to-end metrics with their median and spread (the distance between the
 first and third quartiles as a share of the median, as
 bmop_bench/steady.py reports it), plus the change/parent ratio of the
 medians, and each side's src_lines (the line count of its src/bmop/*.py,
-as wc -l gives it).  Exits 1 if a run was not correct.
+as wc -l gives it).  After the benchmark runs it runs
+tests/test_acceptance.py once per side, with PYTHONPATH=<side>/src, and
+records the number of tests passed and each test's call time in seconds
+(pytest --durations=0) as acceptance: {passed, call_s}.  Exits 1 if a run
+was not correct.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import argparse
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -71,6 +76,19 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     if proc.returncode != 0:
         sys.exit(f"{tree}: {workload} seed {seed} exited {proc.returncode}:\n{proc.stderr}")
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def acceptance(tree: Path) -> dict:
+    """The acceptance file's passed count and per-test call seconds on one side."""
+    cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--durations=0",
+           "tests/test_acceptance.py"]
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    out = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True,
+                         timeout=1200).stdout
+    passed = re.search(r"(\d+) passed", out)
+    call_s = {test.split("::")[-1]: float(sec)
+              for sec, test in re.findall(r"^([\d.]+)s call\s+(\S+)", out, re.M)}
+    return {"passed": int(passed.group(1)) if passed else 0, "call_s": call_s}
 
 
 def summary(runs: list[dict], names: list[str]) -> dict:
@@ -123,6 +141,7 @@ def main() -> int:
             entry["ratio"] = {m: entry["change"]["metrics"][m]["median"]
                               / entry["parent"]["metrics"][m]["median"] for m in metrics}
             report["workloads"][workload] = entry
+        report["acceptance"] = {"parent": acceptance(parent), "change": acceptance(change)}
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0 if correct else 1
 

@@ -14,7 +14,7 @@ from .recurrence import (RecurrenceCoeffs, p_forward, p_recurrence_coeffs,
                          q_forward, q_recurrence_coeffs)
 from .asymptotics import (laguerre_monic, mehler_heine_limit, p_at_zero,
                           p_limit_large_b, q_limit_large_a, q_limit_small_a)
-from .mellin import ContourConfig, mb_integrate, meijer_g203, p_mellin_eval, rho_mellin
+from .mellin import mb_integrate, meijer_g203, p_mellin_eval, rho_mellin
 from .rmt import (CoupledModel, DensityReport, KernelSpec, SampleBatch,
                   density_compare, kernel_eval, kernel_trace, sample_coupled)
 from .verify import PRESETS, run_suite
@@ -33,7 +33,7 @@ __all__ = [
     "q_recurrence_coeffs",
     "laguerre_monic", "mehler_heine_limit", "p_at_zero", "p_limit_large_b",
     "q_limit_large_a", "q_limit_small_a",
-    "ContourConfig", "mb_integrate", "meijer_g203", "p_mellin_eval", "rho_mellin",
+    "mb_integrate", "meijer_g203", "p_mellin_eval", "rho_mellin",
     "CoupledModel", "DensityReport", "KernelSpec", "SampleBatch",
     "density_compare", "kernel_eval", "kernel_trace", "sample_coupled",
     "PRESETS", "run_suite",

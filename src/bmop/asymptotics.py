@@ -11,8 +11,8 @@ from __future__ import annotations
 import math
 
 from .errors import DomainError
-from .mellin import ContourConfig, meijer_g203
-from .precision import DOUBLE, PrecisionConfig, bits_for
+from .mellin import meijer_g203
+from .precision import PrecisionConfig, bits_for
 from .specfun import Params, hyp_terminating, log_gamma, pochhammer
 
 
@@ -40,7 +40,7 @@ def q_limit_small_a(k: float, mu: float, nu: float, n: int, x: float) -> float:
     if k <= 0:
         raise DomainError("k must be > 0")
     sign = -1.0 if n % 2 else 1.0
-    hyp = hyp_terminating("1F2", [-float(n)], [mu + nu + 1.0, mu + 1.0], k * k * x)
+    hyp = hyp_terminating([-float(n)], [mu + nu + 1.0, mu + 1.0], k * k * x)
     return sign * pochhammer(mu + nu + 1.0, n) / math.gamma(mu + 1.0) * hyp * x ** mu
 
 
@@ -80,19 +80,12 @@ def p_at_zero(p: Params, n: int) -> float:
         raise DomainError("n must be >= 0")
     base = p.mu + p.nu + 1.0
     z = 1.0 - (p.a / p.b) ** 2
-    hyp = hyp_terminating("2F1", [-float(n), p.nu], [base], z)
+    hyp = hyp_terminating([-float(n), p.nu], [base], z)
     sign = -1.0 if n % 2 else 1.0
     log_pref = (base * math.log(p.gap) + math.lgamma(p.nu)
                 - p.mu * math.log(p.a) - 2.0 * p.nu * math.log(p.b)
                 - math.lgamma(base) - math.lgamma(n + 1.0))
     return sign * math.exp(log_pref) * hyp
-
-
-def mehler_heine_g(mu: float, nu: float, x: float,
-                   cfg: ContourConfig = ContourConfig()) -> float:
-    """The Meijer G^{2,0}_{0,3}(-; 0, nu, -mu | x) factor of the
-    Mehler-Heine limit, without the (b^2-a^2)^(mu+1)/a^mu prefactor."""
-    return meijer_g203(mu, nu, x, cfg)
 
 
 def mehler_heine_scaled_p(p: Params, n: int, x: float,
@@ -116,9 +109,8 @@ def mehler_heine_scaled_p(p: Params, n: int, x: float,
         if val != 0.0 else 0.0
 
 
-def mehler_heine_limit(p: Params, x: float,
-                       cfg: ContourConfig = ContourConfig()) -> float:
+def mehler_heine_limit(p: Params, x: float) -> float:
     """Right side of the Mehler-Heine limit:
     [(b^2-a^2)^(mu+1)/a^mu] G^{2,0}_{0,3}(-; 0, nu, -mu | x)."""
     pref = p.gap ** (p.mu + 1.0) / p.a ** p.mu
-    return pref * meijer_g203(p.mu, p.nu, x, cfg)
+    return pref * meijer_g203(p.mu, p.nu, x)

@@ -2,10 +2,11 @@
 built on it: the second-kind weight, the dual forms P_n, and the Meijer
 G^{2,0}_{0,3} factor from the Mehler-Heine limit.
 
-Every integrand here decays like e^(-r|s|) along the contour c+is with
-r = pi for two uncompensated gamma factors and r = pi/2 when a gamma in
-the denominator eats half the decay, so the truncation height follows
-from a Stirling bound solved once per call.
+Every integral runs along the one contour t = 1+is.  Its integrands decay
+like e^(-r|s|) with r = pi for two uncompensated gamma factors and r = pi/2
+when a gamma in the denominator eats half the decay, so the truncation
+height where the tail falls below 1e-10 follows from a Stirling bound
+solved once per call; the line is then covered by 24 Gauss nodes per unit.
 """
 
 from __future__ import annotations
@@ -17,25 +18,13 @@ from scipy import special as sp
 
 from .errors import DomainError, NonConvergence, SymmetryViolation
 from .quad import gauss_panels
-from .specfun import Params, pochhammer
-
-from dataclasses import dataclass
+from .specfun import Params
 
 _T_CAP = 400.0
 _EPS = float(np.finfo(float).eps)
-
-
-@dataclass(frozen=True)
-class ContourConfig:
-    c: float = 1.0
-    nodes_per_unit: int = 24
-    tolerance: float = 1e-10
-
-    def __post_init__(self):
-        if self.c <= 0:
-            raise DomainError("contour abscissa must be > 0")
-        if self.nodes_per_unit < 8:
-            raise DomainError("nodes_per_unit must be >= 8")
+_C = 1.0  # the contour Re t
+_NODES_PER_UNIT = 24
+_TOLERANCE = 1e-10
 
 
 def truncation_height(tolerance: float, decay_rate: float, poly_power: float) -> float:
@@ -54,23 +43,22 @@ def truncation_height(tolerance: float, decay_rate: float, poly_power: float) ->
     raise NonConvergence("truncation height iteration did not settle")
 
 
-def mb_integrate(integrand, cfg: ContourConfig = ContourConfig(),
-                 decay_rate: float = math.pi, poly_power: float = 2.0) -> float:
-    """(1/2*pi) * integral of integrand(c+is) ds over the truncated line.
+def mb_integrate(integrand, decay_rate: float = math.pi, poly_power: float = 2.0) -> float:
+    """(1/2*pi) * integral of integrand(1+is) ds over the truncated line.
 
     The full complex sum is formed and the imaginary part used as a
     conjugate-symmetry diagnostic: a real-valued original function must
     produce a real integral, so a large imaginary residual flags a broken
     integrand rather than being silently dropped.
     """
-    T = truncation_height(cfg.tolerance, decay_rate, poly_power)
+    T = truncation_height(_TOLERANCE, decay_rate, poly_power)
     if T > _T_CAP:
         raise NonConvergence(f"truncation height {T:.1f} exceeds cap {_T_CAP}")
 
     n_panels = max(2, int(math.ceil(2.0 * T)))
-    ss, ws = gauss_panels(np.linspace(-T, T, n_panels + 1), cfg.nodes_per_unit)
+    ss, ws = gauss_panels(np.linspace(-T, T, n_panels + 1), _NODES_PER_UNIT)
 
-    ts = cfg.c + 1j * ss
+    ts = _C + 1j * ss
     try:
         vals = np.asarray(integrand(ts), dtype=complex)
         if vals.shape != ts.shape:
@@ -84,7 +72,7 @@ def mb_integrate(integrand, cfg: ContourConfig = ContourConfig(),
     # rounding floor of a cancelling N-term sum: N eps sum|w f| (Higham,
     # Accuracy and Stability of Numerical Algorithms, sec. 4.2)
     mass = float(np.dot(np.abs(ws), np.abs(vals))) / (2.0 * math.pi)
-    floor = max(1e-10 * max(abs(total), cfg.tolerance), ts.size * _EPS * mass)
+    floor = max(1e-10 * max(abs(total), _TOLERANCE), ts.size * _EPS * mass)
     if abs(total.imag) > floor:
         raise SymmetryViolation(
             f"imaginary residual {total.imag:.3e} vs floor {floor:.3e}")
@@ -96,8 +84,7 @@ def _two_gamma_factor(ts: np.ndarray, nu: float, logarg: float) -> np.ndarray:
     return np.exp(sp.loggamma(ts) + sp.loggamma(ts + nu) - ts * logarg)
 
 
-def rho_mellin(nu: float, b: float, x: float,
-               cfg: ContourConfig = ContourConfig()) -> float:
+def rho_mellin(nu: float, b: float, x: float) -> float:
     """Second-kind weight from its Mellin-Barnes representation.
 
     Independent of the Bessel route in specfun; the two serve as mutual
@@ -112,8 +99,8 @@ def rho_mellin(nu: float, b: float, x: float,
     def f(ts):
         return _two_gamma_factor(np.asarray(ts), nu, logarg)
 
-    q = 2.0 * cfg.c + nu - 1.0
-    half = mb_integrate(f, cfg, decay_rate=math.pi, poly_power=q)
+    q = 2.0 * _C + nu - 1.0
+    half = mb_integrate(f, decay_rate=math.pi, poly_power=q)
     return 0.5 * b ** (-nu) * half
 
 
@@ -128,8 +115,7 @@ def _hyp2f1_terminating_complex(n: int, nu: float, denom: float, z: float,
     return out
 
 
-def p_mellin_eval(p: Params, n: int, x: float,
-                  cfg: ContourConfig = ContourConfig()) -> float:
+def p_mellin_eval(p: Params, n: int, x: float) -> float:
     """P_n from its Mellin-Barnes representation.
 
     A fully independent route to the dual function: no weight expansions,
@@ -151,16 +137,15 @@ def p_mellin_eval(p: Params, n: int, x: float,
         hyp = _hyp2f1_terminating_complex(n, p.nu, base, z, ts)
         return hyp * _two_gamma_factor(ts, p.nu, logarg)
 
-    q = n + 2.0 * cfg.c + p.nu - 1.0
-    integral = mb_integrate(f, cfg, decay_rate=math.pi, poly_power=q)
+    q = n + 2.0 * _C + p.nu - 1.0
+    integral = mb_integrate(f, decay_rate=math.pi, poly_power=q)
     sign = -1.0 if n % 2 else 1.0
     pref = (p.gap ** base
             / (p.a ** p.mu * p.b ** (2 * p.nu) * math.gamma(base) * math.factorial(n)))
     return sign * pref * integral
 
 
-def meijer_g203(mu: float, nu: float, x: float,
-                cfg: ContourConfig = ContourConfig()) -> float:
+def meijer_g203(mu: float, nu: float, x: float) -> float:
     """G^{2,0}_{0,3}(-; 0, nu, -mu | x): the Mehler-Heine limit factor.
 
     The denominator gamma cancels half the contour decay, leaving e^(-pi
@@ -177,8 +162,8 @@ def meijer_g203(mu: float, nu: float, x: float,
         return np.exp(sp.loggamma(ts) + sp.loggamma(ts + nu)
                       - sp.loggamma(1.0 + mu - ts) - ts * logx)
 
-    q = 2.0 * cfg.c + nu + mu + 2.0
-    return mb_integrate(f, cfg, decay_rate=math.pi / 2.0, poly_power=q)
+    q = 2.0 * _C + nu + mu + 2.0
+    return mb_integrate(f, decay_rate=math.pi / 2.0, poly_power=q)
 
 
 def meijer_g203_series(mu: float, nu: float, x: float) -> float:

@@ -293,7 +293,9 @@ def p_eval_determinant(p: Params, n: int, x: float,
 # double-series route for Q_n
 
 def _q_series_terms(p: Params, n: int, x, one):
-    """Yield (outer_factor, inner_sum, inner_abs_sum); arithmetic type set by `one`."""
+    """Yield (outer_factor, inner_sum, inner_abs_sum); arithmetic type set by `one`.
+    Gamma(mu+1) Gamma(mu+nu+1) sits in q_eval_series's log prefactor, so the
+    terms carry no Gamma function and leave double range only as I_mu does."""
     a2x = one * p.a * p.a * x
     z = one * p.gap * x
     mu = one * p.mu
@@ -302,24 +304,14 @@ def _q_series_terms(p: Params, n: int, x, one):
     outer = one
     while True:
         # inner alternating sum over j at fixed k
-        t = one / (_gamma_like(one, mu + k + 1) * _gamma_like(one, base))
-        s = t
-        s_abs = abs(t)
+        t = s = s_abs = one
         for j in range(n):
             t = t * (j - n) * z / ((j + 1) * (mu + j + k + 1) * (base + j))
             s += t
             s_abs += abs(t)
         yield outer, s, s_abs
-        outer = outer * a2x / (k + 1)
+        outer = outer * a2x / ((k + 1) * (mu + k + 1))
         k += 1
-
-
-def _gamma_like(one, v):
-    if isinstance(one, float):
-        # 1/inf -> 0 cleanly terminates the k-recursion once factorials
-        # leave double range
-        return math.gamma(v) if v < 170 else math.inf
-    return mpmath.gamma(v)
 
 
 def _q_series_run(p: Params, n: int, x: float, one, rel_tol: float):
@@ -354,7 +346,8 @@ def q_eval_series(p: Params, n: int, x: float, precision: PrecisionConfig = DOUB
     if x <= 0:
         raise DomainError("x must be > 0")
     base = p.mu + p.nu + 1.0
-    pref_log = (p.mu * math.log(p.a * x) + log_gamma(base + n).log_magnitude)
+    pref_log = (p.mu * math.log(p.a * x) + log_gamma(base + n).log_magnitude
+                - math.lgamma(p.mu + 1.0) - math.lgamma(base))
     pref_sign = (-1) ** n
 
     if precision.extended:
@@ -513,8 +506,7 @@ def sign_change_window(p: Params, n: int) -> tuple[float, float]:
     return x_hi * 1e-7, x_hi
 
 
-def sign_change_profile(p: Params, n_max: int, grid_points: int = 3072,
-                        bisect_steps: int = 8) -> list:
+def sign_change_profile(p: Params, n_max: int, grid_points: int = 3072) -> list:
     """Sign-change counts of Q_0..Q_{n_max} from one shared weight table.
 
     The scan window of the largest index covers every smaller one, and the
@@ -523,41 +515,22 @@ def sign_change_profile(p: Params, n_max: int, grid_points: int = 3072,
     """
     xs = np.geomspace(*sign_change_window(p, n_max), grid_points)
     grid = WeightGrid(p, n_max, xs, bits=bits_for(n_max))
-    return [_count_on_grid(p, n, xs, grid.q_values(n), bisect_steps)
-            for n in range(n_max + 1)]
+    return [_count_on_grid(grid.q_values(n)) for n in range(n_max + 1)]
 
 
-def count_sign_changes(p: Params, n: int, grid_points: int = 2048,
-                       bisect_steps: int = 12) -> int:
+def count_sign_changes(p: Params, n: int, grid_points: int = 2048) -> int:
     """Number of sign changes of Q_n on (0, inf)."""
     xs = np.geomspace(*sign_change_window(p, n), grid_points)
-    return _count_on_grid(p, n, xs, WeightGrid(p, n, xs, bits=bits_for(n)).q_values(n),
-                          bisect_steps)
+    return _count_on_grid(WeightGrid(p, n, xs, bits=bits_for(n)).q_values(n))
 
 
-def _count_on_grid(p: Params, n: int, xs, vals, bisect_steps: int) -> int:
-    """Sign changes of Q_n among its values `vals` on the log-spaced grid `xs`.
+def _count_on_grid(vals) -> int:
+    """Sign flips between neighbouring values of a form on its scan grid.
 
-    Every bracketed root is bisected to confirm a genuine crossing.  A grid
-    value of exactly zero would indicate a degenerate touching zero and is
+    A touching zero makes no flip and is not counted.  A grid value of
+    exactly zero would hide whether the form crosses there, so it is
     reported as an error.
     """
     if np.any(vals == 0.0):
         raise BmopError("degenerate zero hit exactly on the scan grid")
-    flips = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
-    ext = PrecisionConfig(mode="extended", mantissa_bits=bits_for(n))
-    count = 0
-    for idx in flips:
-        lo, hi = xs[idx], xs[idx + 1]
-        f_lo = vals[idx]
-        for _ in range(bisect_steps):
-            mid = math.sqrt(lo * hi)
-            f_mid = q_eval(p, n, mid, precision=ext)
-            if f_mid == 0.0:
-                raise BmopError(f"degenerate zero of Q_{n} at x={mid}")
-            if (f_lo > 0) != (f_mid > 0):
-                hi = mid
-            else:
-                lo, f_lo = mid, f_mid
-        count += 1
-    return count
+    return int(np.count_nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0))

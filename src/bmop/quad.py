@@ -23,16 +23,16 @@ from .specfun import Params, log_gamma
 from . import mopoly
 
 
+_REL_TOL = 1e-10  # integrate_half_line's panel-refinement agreement
+
+
 @dataclass(frozen=True)
 class QuadConfig:
-    rel_tol: float = 1e-10
     abs_tol: float = 1e-14
     panel_order: int = 40
     max_doublings: int = 30
 
     def __post_init__(self):
-        if self.rel_tol <= 0:
-            raise DomainError("rel_tol must be positive")
         if self.panel_order < 4:
             raise DomainError("panel_order must be >= 4")
 
@@ -143,7 +143,7 @@ def _eval_vec(f, x: np.ndarray) -> np.ndarray:
     return np.array([float(f(float(xi))) for xi in x])
 
 
-def integrate_half_line(f, decay_rate: float, cfg: QuadConfig = QuadConfig()) -> float:
+def integrate_half_line(f, decay_rate: float) -> float:
     """Integral of f over (0, inf) for integrands bounded by
     C x^p exp(-decay_rate sqrt(x)).
 
@@ -153,6 +153,7 @@ def integrate_half_line(f, decay_rate: float, cfg: QuadConfig = QuadConfig()) ->
     """
     if decay_rate <= 0:
         raise DomainError("decay_rate must be positive")
+    cfg = QuadConfig()
     u_max = max(8.0 / decay_rate, 2.0)
     tail_ok = False
     for _ in range(cfg.max_doublings):
@@ -172,7 +173,8 @@ def integrate_half_line(f, decay_rate: float, cfg: QuadConfig = QuadConfig()) ->
         us, ws = panel_nodes(u_max, n_panels, cfg.panel_order)
         vals = _eval_vec(f, us * us)
         result = float(np.dot(ws, 2.0 * us * vals))
-        if prev is not None and abs(result - prev) <= cfg.rel_tol * max(abs(result), cfg.abs_tol / cfg.rel_tol):
+        if prev is not None and abs(result - prev) <= _REL_TOL * max(abs(result),
+                                                                     cfg.abs_tol / _REL_TOL):
             return result
         prev = result
         n_panels *= 2
@@ -190,7 +192,7 @@ def moment_closed(p: Params, i: int, j: int) -> LogValue:
     return LogValue(lg, 1)
 
 
-def moment_quad(p: Params, i: int, j: int, cfg: QuadConfig = QuadConfig()) -> float:
+def moment_quad(p: Params, i: int, j: int) -> float:
     """Cross moment of the shifted weights by direct quadrature.
 
     The integrand is positive with no cancellation, so plain double
@@ -206,7 +208,7 @@ def moment_quad(p: Params, i: int, j: int, cfg: QuadConfig = QuadConfig()) -> fl
         return (sp.ive(p.mu + i, zi) * sp.kve(p.nu + j, zk)
                 * np.exp(zi - zk) * x ** (0.5 * (p.mu + p.nu + i + j)))
 
-    return integrate_half_line(f, 2.0 * (p.b - p.a), cfg)
+    return integrate_half_line(f, 2.0 * (p.b - p.a))
 
 
 def _moment_mp(p: Params, i: int, j: int):

@@ -315,38 +315,19 @@ def rho_ladder_mp(nu, b, x, jmax: int, bits: int = 200) -> list:
         return out
 
 
-def hyp_terminating(kind: str, numerator, denominator, z: float) -> float:
-    """Terminating (or truncated 0F1) hypergeometric sum with compensated
-    summation.
+def hyp_terminating(numerator, denominator, z: float) -> float:
+    """Terminating hypergeometric sum pFq(numerator; denominator; z).
 
-    kind is one of "2F1", "1F2", "0F1".  For 2F1/1F2 the first numerator
-    parameter must be a non-positive integer -n so the series terminates;
-    0F1 stops once a term falls below 1e-16 of the sum (10000 terms at most).
+    The first numerator parameter must be a non-positive integer -n, so
+    the series has n+1 terms; they are summed with math.fsum.
     """
-    numerator = list(numerator)
-    denominator = list(denominator)
-    expected = {"2F1": (2, 1), "1F2": (1, 2), "0F1": (0, 1)}
-    if kind not in expected:
-        raise DomainError(f"unknown hypergeometric kind {kind!r}")
-    if (len(numerator), len(denominator)) != expected[kind]:
-        raise DomainError(f"{kind} takes {expected[kind][0]} numerator and "
-                          f"{expected[kind][1]} denominator parameters")
-    if kind != "0F1":
-        first = numerator[0]
-        if not (first <= 0 and first == math.floor(first)):
-            raise DomainError(f"{kind} requires a terminating first parameter, got {first}")
-        n_terms = int(-first) + 1
-    else:
-        n_terms = 10000
-
-    terms = []
+    first = numerator[0]
+    if not (first <= 0 and first == math.floor(first)):
+        raise DomainError(f"hypergeometric sum requires a terminating first parameter, "
+                          f"got {first}")
     term = 1.0
-    for k in range(n_terms):
-        terms.append(term)
-        if kind != "0F1" and k + 1 >= n_terms:
-            break
-        if kind == "0F1" and k > 2 and abs(term) < 1e-16 * abs(math.fsum(terms)):
-            break
+    terms = [term]
+    for k in range(int(-first)):
         ratio = z / (k + 1.0)
         for p in numerator:
             ratio *= p + k
@@ -356,4 +337,5 @@ def hyp_terminating(kind: str, numerator, denominator, z: float) -> float:
                 raise PoleError(f"denominator parameter {q} hits a pole at term {k}")
             ratio /= qk
         term *= ratio
+        terms.append(term)
     return math.fsum(terms)

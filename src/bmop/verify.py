@@ -153,7 +153,7 @@ def suite_recurrence(p: Params, n_max: int = 12, **kw) -> SuiteReport:
                 ref = {-2: qc.am2, -1: qc.am1, 0: qc.a0,
                        1: qc.a1, 2: qc.a2}[-j]
             duality.append(abs(val - ref))
-    worst_i = _integral_identity_error(p, n_cap=kw.get("integral_n_cap", 6))
+    worst_i = _integral_identity_error(p)
     return SuiteReport("recurrence", [
         CheckResult("q_residual", _worst(errs_q), 1e-9),
         CheckResult("p_residual", _worst(errs_p), 1e-9),
@@ -179,10 +179,11 @@ def _integral_identity_error(p: Params, n_cap: int = 6) -> float:
     return _worst(errs)
 
 
-def suite_derivative(p: Params, n_max: int = 8, h: float = 1e-6, **kw) -> SuiteReport:
+def suite_derivative(p: Params, n_max: int = 8, **kw) -> SuiteReport:
     """Finite-difference checks of the derivative identities: the weight
     level d/dx shifts down one order with factor a (resp. -b), and the same
     pattern lifts to Q_n and P_n with a shifted first parameter."""
+    h = 1e-6  # central-difference step
     errs_w = []
     for x in (0.3, 1.0, 4.0):
         dw = (omega(p.mu + 1, p.a, x + h, _EXT).value()
@@ -299,10 +300,9 @@ def suite_mellin(p: Params, **kw) -> SuiteReport:
     """Contour layer against its independent oracles."""
     from scipy import special as sp
 
-    cfg = mellin.ContourConfig()
     worst_c = _worst(_rel(mellin.mb_integrate(
         lambda t: np.exp(sp.loggamma(t) - t * math.log(x)),
-        cfg, decay_rate=math.pi / 2, poly_power=2.0), math.exp(-x))
+        decay_rate=math.pi / 2, poly_power=2.0), math.exp(-x))
         for x in (0.5, 1.0, 2.0, 5.0))
     worst_r = _worst(_rel(mellin.rho_mellin(nu, p.b, x), rho(nu, p.b, x, _EXT).value())
                      for nu in (0.3, 0.5, p.nu, 1.5, 2.7) for x in (0.05, 0.3, 1.0, 3.0, 8.0))
@@ -343,21 +343,16 @@ def _projection_error(spec: rmt.KernelSpec, sizes=None) -> float:
     """max relative error of the reproducing identity
     integral K(x,t) K(t,y) dt = K(x,y) on a 3x3 grid.
 
-    `sizes` lists the kernel sizes to test; each size m <= spec.n reuses the
-    shared weight table through the leading m x m block of the cross-product
-    matrix.
+    `sizes` lists the kernel sizes to test; each size m <= spec.n uses the
+    leading m x m block of the one cross-product matrix.
     """
     if sizes is None:
         sizes = (spec.n,)
     p = spec.params
-    rule = quad.ProductRule(p, spec.n - 1, 200)
-    qv = [rule.grid.q_values_mp(k) for k in range(spec.n)]
-    pv = [rule.grid.p_values_mp(k) for k in range(spec.n)]
     pts = (0.5, 2.0, 6.0)
-    # B[k][l] = integral P_k(t) Q_l(t) dt, then the projected kernel is
-    # sum_{k,l} Q_k(x) B[k][l] P_l(y)
-    B = [[float(rule.integral(pv[k], qv[l])) for l in range(spec.n)]
-         for k in range(spec.n)]
+    # B[k][l] = integral P_k(t) Q_l(t) dt, the transposed biorthogonality
+    # matrix; the projected kernel is sum_{k,l} Q_k(x) B[k][l] P_l(y)
+    B = quad.biorth_matrix(p, spec.n).matrix.T
     errs = []
     for x in pts:
         qx = [mopoly.q_eval(p, k, x, _EXT) for k in range(spec.n)]

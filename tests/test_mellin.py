@@ -106,11 +106,3 @@ class TestMeijerG:
         got = mellin.meijer_g203(0.5, 1.0, x)
         ref = float(mpmath.meijerg([[], []], [[0.0, 1.0], [-0.5]], x))
         assert got == pytest.approx(ref, rel=1e-9)
-
-
-class TestContourConfig:
-    def test_invariants(self):
-        with pytest.raises(DomainError):
-            mellin.ContourConfig(c=-1.0)
-        with pytest.raises(DomainError):
-            mellin.ContourConfig(nodes_per_unit=2)

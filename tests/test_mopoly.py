@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import pytest
@@ -225,3 +226,21 @@ def test_series_beyond_double_range_raises():
     with pytest.warns(PrecisionLossWarning, match="double range"), \
             pytest.raises(DoubleOverflow):
         mopoly.q_eval_series(big_a, 2, 4.0)
+
+
+def test_series_double_pass_keeps_a_large_a_in_range():
+    # (a^2 x)^k / k! alone, with a^2 x = 9e4, leaves double range before the
+    # terms peak near k = a sqrt(x) = 300; Q_2(1) = -4.08e256 fits a double
+    p = Params(0.5, 1.5, 300, 301)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", PrecisionLossWarning)
+        got = mopoly.q_eval_series(p, 2, 1.0)
+    assert got == pytest.approx(mopoly.q_eval(p, 2, 1.0, EXT), rel=1e-10)
+
+
+@pytest.mark.parametrize("p", [Params(0.5, 171.2, 1, 2), Params(100, 100, 1, 2)],
+                         ids=["large_nu", "large_mu_nu"])
+def test_series_double_pass_beyond_gamma_range(p):
+    # Gamma(mu + nu + 1) leaves double range past 171; the double terms
+    # must not carry it, or they all round to 0 and the sum never stops
+    assert mopoly.q_eval_series(p, 2, 1.0) == pytest.approx(mopoly.q_eval(p, 2, 1.0), rel=1e-12)

@@ -105,3 +105,17 @@ def test_sign_window_loss_within_half_the_budget(mu, nu, a, ratio, n):
     # most half of them may go to cancellation
     p = Params(mu, nu, a, a * ratio)
     assert _sign_window_loss(p, n) <= (bits_for(n) - 53) / 2
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(mu=st.one_of(st.integers(0, 5).map(float),
+                    st.floats(-1.0, 6.0, exclude_min=True, exclude_max=True)),
+       nu=st.one_of(st.integers(1, 7).map(float),
+                    st.floats(0.0, 8.0, exclude_min=True, exclude_max=True)),
+       a=st.floats(0.05, 10.0),
+       ratio=st.floats(1.001, 50.0))
+def test_sign_counts_exact_off_the_presets(mu, nu, a, ratio):
+    # Q_n has exactly n sign changes, all inside the scan window, on every
+    # admissible parameter set, not only on S0 and S1
+    p = Params(mu, nu, a, a * ratio)
+    assert mopoly.sign_change_profile(p, 8, grid_points=1024) == list(range(9))

@@ -181,14 +181,14 @@ class TestWeights:
 class TestHypTerminating:
     def test_2f1_n1(self):
         # 2F1(-1, b; c; z) = 1 - b z / c
-        assert hyp_terminating("2F1", [-1.0, 2.0], [3.0], 0.5) == pytest.approx(
+        assert hyp_terminating([-1.0, 2.0], [3.0], 0.5) == pytest.approx(
             1.0 - 2.0 * 0.5 / 3.0, rel=1e-14)
 
     def test_1f2_n0(self):
-        assert hyp_terminating("1F2", [0.0], [2.0, 3.0], 1.7) == 1.0
+        assert hyp_terminating([0.0], [2.0, 3.0], 1.7) == 1.0
 
     def test_1f2_finite_sum(self):
         # 1F2(-2; 2, 1; 1): term k has (-2)_k / ((2)_k (1)_k k!)
-        val = hyp_terminating("1F2", [-2.0], [2.0, 1.0], 1.0)
+        val = hyp_terminating([-2.0], [2.0, 1.0], 1.0)
         manual = 1.0 + (-2.0) / (2.0 * 1.0) + 2.0 / ((2.0 * 3.0) * (1.0 * 2.0) * 2.0)
         assert val == pytest.approx(manual, rel=1e-14)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from . import mopoly, precision, rmt, verify
@@ -79,26 +78,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    p = _params_from(args)
-    kw = {}
-    if args.N is not None:
-        kw["N"] = args.N
-    if args.n_max is not None:
-        kw["n_max"] = args.n_max
-    reports = verify.run_suite(args.suite, p, **kw)
-    if len(reports) == 1:
-        payload = reports[0].as_dict()
-    else:
-        checks = []
-        for rep in reports:
-            for c in rep.checks:
-                checks.append({"name": f"{rep.suite}.{c.name}",
-                               "max_error": c.max_error,
-                               "tolerance": c.tolerance, "pass": c.passed})
-        payload = {"schema": "bmop/1", "suite": "all", "checks": checks,
-                   "pass": all(r.passed for r in reports)}
-    _write_out(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
-    return 0 if payload["pass"] else 1
+    options = {k: v for k, v in (("N", args.N), ("n_max", args.n_max)) if v is not None}
+    reports = verify.run_suite(args.suite, _params_from(args), **options)
+    report = reports[0] if len(reports) == 1 else verify.SuiteReport("all", [
+        verify.CheckResult(f"{r.suite}.{c.name}", c.max_error, c.tolerance)
+        for r in reports for c in r.checks])
+    _write_out(json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n", args.out)
+    return 0 if report.passed else 1
 
 
 def cmd_kernel(args: argparse.Namespace) -> int:
@@ -160,13 +146,14 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--out", help="output CSV path (default stdout)")
     ev.set_defaults(func=cmd_eval)
 
-    vf = subs.add_parser("verify", help="run a verification suite")
+    vf = subs.add_parser("verify", help="run a verification suite", description=(
+        "Each option goes to the selected suites that take it; one that none takes exits 2."))
     _add_param_flags(vf)
     vf.add_argument("--suite", default="all",
                     choices=sorted(verify.SUITES) + ["all"])
-    vf.add_argument("--N", type=int, help="biorthogonality matrix size")
+    vf.add_argument("--N", type=int, help="biorthogonality matrix size (suite biorth)")
     vf.add_argument("--n-max", dest="n_max", type=int,
-                    help="recurrence index cap")
+                    help="index cap of suites recurrence and derivative")
     vf.add_argument("--out", help="output JSON path (default stdout)")
     vf.set_defaults(func=cmd_verify)
 

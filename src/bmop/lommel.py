@@ -11,12 +11,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import mpmath
 from mpmath import mp
 
 from .errors import DomainError
 from .mopoly import _horner, _p_family, _q_family
-from .precision import DOUBLE, MAX_BITS, PrecisionConfig, bits_for
+from .precision import MAX_BITS, bits_for
 from .specfun import Params, pochhammer
 
 
@@ -63,7 +62,7 @@ def shift_pair(order_base: float, m: int) -> ShiftPair:
     return ShiftPair(tuple(r), tuple(s), m, order_base)
 
 
-def _shift_eval(label: str, f, m: int, x: float, precision: PrecisionConfig) -> float:
+def _shift_eval(label: str, f, m: int, x: float) -> float:
     """The family's weight of order order+m rebuilt from orders order and
     order+1, with the signed scale kappa * scale.
 
@@ -77,7 +76,7 @@ def _shift_eval(label: str, f, m: int, x: float, precision: PrecisionConfig) -> 
         raise DomainError(f"{label} requires x > 0")
     pair = shift_pair(f.order, m)
     scale = f.kappa * f.scale
-    w0, w1 = (f.weight(f.order + k, f.scale, x, precision).value() for k in (0, 1))
+    w0, w1 = (f.weight(f.order + k, f.scale, x).value() for k in (0, 1))
     arg = scale * scale * x
     t0 = scale ** (-m) * pair.r_at(arg) * w0
     t1 = scale ** (1 - m) * pair.s_at(arg) * w1
@@ -109,8 +108,8 @@ def _shift_eval_mp(f, m: int, x: float, bits: int) -> float:
             xm = mp.mpf(x)
             arg = sc * sc * xm
             w0, w1 = f.ladder_mp(order, f.scale, xm, 1, bits)
-            t0 = sc ** (-m) * mpmath.fsum(c * arg ** k for k, c in enumerate(pair.r_poly)) * w0
-            t1 = sc ** (1 - m) * mpmath.fsum(c * arg ** k for k, c in enumerate(pair.s_poly)) * w1
+            t0 = sc ** (-m) * _horner(pair.r_poly, arg) * w0
+            t1 = sc ** (1 - m) * _horner(pair.s_poly, arg) * w1
             total = t0 + t1
             ratio = float(max(abs(t0), abs(t1)) / abs(total)) if total else math.inf
         need = bits_for(m, ratio) if math.isfinite(ratio) else min(2 * bits, MAX_BITS)
@@ -119,18 +118,16 @@ def _shift_eval_mp(f, m: int, x: float, bits: int) -> float:
         bits = need
 
 
-def omega_shift_eval(p: Params, m: int, x: float,
-                     precision: PrecisionConfig = DOUBLE) -> float:
+def omega_shift_eval(p: Params, m: int, x: float) -> float:
     """First-kind weight of order mu+m rebuilt from orders mu and mu+1."""
-    return _shift_eval("omega_shift_eval", _q_family(p), m, x, precision)
+    return _shift_eval("omega_shift_eval", _q_family(p), m, x)
 
 
-def rho_shift_eval(p: Params, m: int, x: float,
-                   precision: PrecisionConfig = DOUBLE) -> float:
+def rho_shift_eval(p: Params, m: int, x: float) -> float:
     """Second-kind weight of order nu+m rebuilt from orders nu and nu+1.
 
     Same shift polynomials as the first-kind identity but with scale -b;
     the sign alternation in m is the structural difference between the
     two families.
     """
-    return _shift_eval("rho_shift_eval", _p_family(p), m, x, precision)
+    return _shift_eval("rho_shift_eval", _p_family(p), m, x)

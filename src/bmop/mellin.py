@@ -44,7 +44,8 @@ def truncation_height(tolerance: float, decay_rate: float, poly_power: float) ->
 
 
 def mb_integrate(integrand, decay_rate: float = math.pi, poly_power: float = 2.0) -> float:
-    """(1/2*pi) * integral of integrand(1+is) ds over the truncated line.
+    """(1/2*pi) * integral of integrand(1+is) ds over the truncated line;
+    the integrand is vectorized, one value per contour node.
 
     The full complex sum is formed and the imaginary part used as a
     conjugate-symmetry diagnostic: a real-valued original function must
@@ -59,12 +60,9 @@ def mb_integrate(integrand, decay_rate: float = math.pi, poly_power: float = 2.0
     ss, ws = gauss_panels(np.linspace(-T, T, n_panels + 1), _NODES_PER_UNIT)
 
     ts = _C + 1j * ss
-    try:
-        vals = np.asarray(integrand(ts), dtype=complex)
-        if vals.shape != ts.shape:
-            raise ValueError
-    except (ValueError, TypeError):
-        vals = np.array([complex(integrand(complex(t))) for t in ts])
+    vals = np.asarray(integrand(ts), dtype=complex)
+    if vals.shape != ts.shape:
+        raise DomainError(f"integrand gave shape {vals.shape} for {ts.size} contour nodes")
     if not np.all(np.isfinite(vals.view(float))):
         raise NonConvergence("integrand produced non-finite values on the contour")
 

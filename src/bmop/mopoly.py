@@ -388,10 +388,11 @@ class PolyPair:
     def eval_second(self, x: float) -> float:
         return _horner(self.second, x)
 
-    def reconstruct(self, x: float, precision: PrecisionConfig = DOUBLE) -> float:
-        """Rebuild the linear form from the pair and the two base weights."""
+    def reconstruct(self, x: float) -> float:
+        """Rebuild the linear form from the pair and the two base weights, in
+        double: the coefficients are doubles, so extended weights could not help."""
         f = (_q_family if self.kind == "A" else _p_family)(self.params)
-        w0, w1 = (f.weight(f.order + k, f.scale, x, precision).value() for k in (0, 1))
+        w0, w1 = (f.weight(f.order + k, f.scale, x).value() for k in (0, 1))
         return self.eval_first(x) * w0 + self.eval_second(x) * w1
 
 

@@ -53,11 +53,11 @@ def bits_for(n: int, ratio: float = math.inf) -> int:
     return min(53 + 48 + lost, MAX_BITS)
 
 
-def from_env(default: PrecisionConfig = DOUBLE) -> PrecisionConfig:
-    """Read BMOP_PRECISION: 'double' or 'extended:<bits>'."""
+def from_env() -> PrecisionConfig:
+    """Read BMOP_PRECISION: 'double' (the default) or 'extended:<bits>'."""
     raw = os.environ.get("BMOP_PRECISION")
     if not raw:
-        return default
+        return DOUBLE
     raw = raw.strip()
     if raw == "double":
         return DOUBLE

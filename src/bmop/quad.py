@@ -133,19 +133,9 @@ def panel_nodes_mp(u_max: float, n_panels: int, order: int, bits: int):
     return us, ws
 
 
-def _eval_vec(f, x: np.ndarray) -> np.ndarray:
-    try:
-        y = np.asarray(f(x), dtype=float)
-        if y.shape == x.shape:
-            return y
-    except (TypeError, ValueError):
-        pass
-    return np.array([float(f(float(xi))) for xi in x])
-
-
 def integrate_half_line(f, decay_rate: float) -> float:
     """Integral of f over (0, inf) for integrands bounded by
-    C x^p exp(-decay_rate sqrt(x)).
+    C x^p exp(-decay_rate sqrt(x)); f is vectorized, one value per node.
 
     Substitutes x = u^2, integrates 2 u f(u^2) on [0, U] by panel-wise Gauss
     and doubles U until the analytic tail bound drops below abs_tol.  A
@@ -171,7 +161,9 @@ def integrate_half_line(f, decay_rate: float) -> float:
     prev = None
     for _ in range(cfg.max_doublings):
         us, ws = panel_nodes(u_max, n_panels, cfg.panel_order)
-        vals = _eval_vec(f, us * us)
+        vals = np.asarray(f(us * us), dtype=float)
+        if vals.shape != us.shape:
+            raise DomainError(f"integrand gave shape {vals.shape} for {us.size} nodes")
         result = float(np.dot(ws, 2.0 * us * vals))
         if prev is not None and abs(result - prev) <= _REL_TOL * max(abs(result),
                                                                      cfg.abs_tol / _REL_TOL):

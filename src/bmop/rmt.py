@@ -22,7 +22,7 @@ from mpmath import mp
 from scipy import special
 
 from .errors import BinUnderflowWarning, DimensionError, DomainError
-from .precision import DOUBLE, PrecisionConfig, bits_for
+from .precision import bits_for
 from . import mopoly, quad, recurrence
 from .specfun import Params
 
@@ -139,14 +139,12 @@ class SampleBatch:
         return cls(data.reshape(-1, n).copy(), n, M, tau, seed)
 
 
-def kernel_eval(spec: KernelSpec, x: float, y: float,
-                precision: PrecisionConfig = DOUBLE) -> float:
+def kernel_eval(spec: KernelSpec, x: float, y: float) -> float:
     """K_n(x, y) = sum_{k<n} Q_k(x) P_k(y)."""
     if x <= 0 or y <= 0:
         raise DomainError("kernel arguments must be > 0")
     p = spec.params
-    return math.fsum(mopoly.q_eval(p, k, x, precision)
-                     * mopoly.p_eval(p, k, y, precision)
+    return math.fsum(mopoly.q_eval(p, k, x) * mopoly.p_eval(p, k, y)
                      for k in range(spec.n))
 
 

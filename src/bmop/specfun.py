@@ -2,8 +2,9 @@
 the scaled weights w_mu (first kind, growing) and r_nu (second kind,
 decaying) that everything downstream is built from.
 
-Double mode is backed by scipy.special (exponentially scaled ive/kve so the
-log-magnitude never overflows).  Extended mode has one evaluator per family.
+Double mode is backed by scipy.special (exponentially scaled ive/kve); a value
+outside their range, a large order at a small argument, comes from the extended
+evaluator at 64 bits.  Extended mode has one evaluator per family.
 besseli_mp gives I_mu(z).  besselk_mp gives the pair (K_nu(z), K_{nu+1}(z))
 by the same steps for every real order: Temme's series for the base pair of
 order |mu| <= 1/2 while 2z <= (bits + 20) ln 2, the large-z expansion
@@ -77,6 +78,10 @@ def log_gamma(p: float) -> LogValue:
     return LogValue(float(sp.gammaln(p)), int(sp.gammasgn(p)))
 
 
+# the result is a log, so 64 bits hold it to double accuracy
+_BEYOND_SCIPY = PrecisionConfig(mode="extended", mantissa_bits=64)
+
+
 def bessel_i(mu: float, z: float, precision: PrecisionConfig = DOUBLE) -> LogValue:
     """Modified Bessel function of the first kind, order mu > -1, z >= 0."""
     if not mu > -1:
@@ -95,11 +100,7 @@ def bessel_i(mu: float, z: float, precision: PrecisionConfig = DOUBLE) -> LogVal
     scaled = float(sp.ive(mu, z))  # I_mu(z) * exp(-z)
     if scaled > 0 and math.isfinite(scaled):
         return LogValue(math.log(scaled) + z, 1)
-    # ive underflows for tiny z with large order; leading series term then
-    # dominates to full double accuracy
-    log_lead = mu * math.log(z / 2.0) - float(sp.gammaln(mu + 1.0))
-    correction = math.log1p(z * z / (4.0 * (mu + 1.0)))
-    return LogValue(log_lead + correction, 1)
+    return bessel_i(mu, z, _BEYOND_SCIPY)  # ive underflows: large order, small z
 
 
 def bessel_k(nu: float, z: float, precision: PrecisionConfig = DOUBLE) -> LogValue:
@@ -110,7 +111,9 @@ def bessel_k(nu: float, z: float, precision: PrecisionConfig = DOUBLE) -> LogVal
         with mp.workprec(precision.mantissa_bits):
             return LogValue.from_mpf(besselk_mp(nu, z, precision.mantissa_bits)[0])
     scaled = float(sp.kve(nu, z))  # K_nu(z) * exp(z)
-    return LogValue(math.log(scaled) - z, 1)
+    if scaled > 0 and math.isfinite(scaled):
+        return LogValue(math.log(scaled) - z, 1)
+    return bessel_k(nu, z, _BEYOND_SCIPY)  # kve overflows: large order, small z
 
 
 def omega(mu: float, a: float, x: float, precision: PrecisionConfig = DOUBLE) -> LogValue:
@@ -147,17 +150,13 @@ def rho_at_zero(nu: float, b: float) -> LogValue:
 
 
 def omega_mp(mu, a, x, bits: int = 200):
-    """Extended-precision first-kind weight as an mpf (internal helper)."""
-    with mp.workprec(bits):
-        x = mp.mpf(x)
-        return x ** (mp.mpf(mu) / 2) * besseli_mp(mu, 2 * mp.mpf(a) * mpmath.sqrt(x), bits)
+    """Extended-precision first-kind weight as an mpf: the ladder's first rung."""
+    return omega_ladder_mp(mu, a, x, 0, bits)[0]
 
 
 def rho_mp(nu, b, x, bits: int = 200):
-    """Extended-precision second-kind weight as an mpf (internal helper)."""
-    with mp.workprec(bits):
-        x = mp.mpf(x)
-        return x ** (mp.mpf(nu) / 2) * besselk_mp(nu, 2 * mp.mpf(b) * mpmath.sqrt(x), bits)[0]
+    """Extended-precision second-kind weight as an mpf: the ladder's first rung."""
+    return rho_ladder_mp(nu, b, x, 0, bits)[0]
 
 
 def _besselk_asymptotic(mu, z, bits: int):
@@ -289,12 +288,7 @@ def omega_ladder_mp(mu, a, x, jmax: int, bits: int = 200) -> list:
         ladder[jmax] = besseli_mp(mu + jmax, z, bits + 20)
         for j in range(jmax - 1, -1, -1):
             ladder[j] = ladder[j + 2] + 2 * (mu + j + 1) / z * ladder[j + 1]
-        out = []
-        pw = x ** (mu / 2)
-        for j in range(jmax + 1):
-            out.append(pw * ladder[j])
-            pw *= s
-        return out
+        return _times_powers(ladder, mu, x, s, jmax)
 
 
 def rho_ladder_mp(nu, b, x, jmax: int, bits: int = 200) -> list:
@@ -307,12 +301,17 @@ def rho_ladder_mp(nu, b, x, jmax: int, bits: int = 200) -> list:
         ladder = list(besselk_mp(nu, z, bits + 20))
         for j in range(2, jmax + 1):
             ladder.append(ladder[j - 2] + 2 * (nu + j - 1) / z * ladder[j - 1])
-        out = []
-        pw = x ** (nu / 2)
-        for j in range(jmax + 1):
-            out.append(pw * ladder[j])
-            pw *= s
-        return out
+        return _times_powers(ladder, nu, x, s, jmax)
+
+
+def _times_powers(ladder, order, x, s, jmax: int) -> list:
+    """[x^((order+j)/2) ladder[j] for j = 0..jmax], where s = sqrt(x)."""
+    out = []
+    pw = x ** (order / 2)
+    for j in range(jmax + 1):
+        out.append(pw * ladder[j])
+        pw *= s
+    return out
 
 
 def hyp_terminating(numerator, denominator, z: float) -> float:

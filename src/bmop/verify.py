@@ -7,6 +7,7 @@ a pass certifies agreement, not self-consistency of a single code path.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 
@@ -65,7 +66,7 @@ def _rel(x: float, ref: float) -> float:
     return abs(x - ref) / max(abs(ref), 1e-300)
 
 
-def suite_bessel(p: Params, **kw) -> SuiteReport:
+def suite_bessel(p: Params) -> SuiteReport:
     """Double-precision weights against extended-precision references, plus
     the Wronskian-type identity I_v(z)K_{v+1}(z) + I_{v+1}(z)K_v(z) = 1/z."""
     xs = np.geomspace(1e-3, 50.0, 12)
@@ -88,7 +89,7 @@ def suite_bessel(p: Params, **kw) -> SuiteReport:
     ])
 
 
-def suite_lommel(p: Params, m_max: int = 12, **kw) -> SuiteReport:
+def suite_lommel(p: Params, m_max: int = 12) -> SuiteReport:
     """Shift identities for both weight families, plus the sign pattern
     distinguishing the scale a from the scale -b."""
     errs = []
@@ -112,7 +113,7 @@ def suite_lommel(p: Params, m_max: int = 12, **kw) -> SuiteReport:
     ])
 
 
-def suite_biorth(p: Params, N: int = 6, **kw) -> SuiteReport:
+def suite_biorth(p: Params, N: int = 6) -> SuiteReport:
     """Moment oracle plus both biorthogonality routes."""
     worst_m = _worst(_rel(quad.moment_quad(p, i, j), quad.moment_closed(p, i, j).value())
                      for i in range(9) for j in range(9))
@@ -130,7 +131,7 @@ def suite_biorth(p: Params, N: int = 6, **kw) -> SuiteReport:
     ])
 
 
-def suite_recurrence(p: Params, n_max: int = 12, **kw) -> SuiteReport:
+def suite_recurrence(p: Params, n_max: int = 12) -> SuiteReport:
     """Functional residuals, coefficient duality, and the integral identity
     behind the recurrence coefficients."""
     xs = np.geomspace(0.05, 50.0, 20)
@@ -179,7 +180,7 @@ def _integral_identity_error(p: Params, n_cap: int = 6) -> float:
     return _worst(errs)
 
 
-def suite_derivative(p: Params, n_max: int = 8, **kw) -> SuiteReport:
+def suite_derivative(p: Params, n_max: int = 8) -> SuiteReport:
     """Finite-difference checks of the derivative identities: the weight
     level d/dx shifts down one order with factor a (resp. -b), and the same
     pattern lifts to Q_n and P_n with a shifted first parameter."""
@@ -212,7 +213,7 @@ def suite_derivative(p: Params, n_max: int = 8, **kw) -> SuiteReport:
     ])
 
 
-def suite_limits(p: Params, **kw) -> SuiteReport:
+def suite_limits(p: Params) -> SuiteReport:
     """The four limiting forms as convergence sequences, the value at the
     origin, and the Mehler-Heine limit.
 
@@ -296,7 +297,7 @@ def _monotone_excess(errs) -> float:
     return _worst([0.0] + [errs[i + 1] - errs[i] for i in range(len(errs) - 1)])
 
 
-def suite_mellin(p: Params, **kw) -> SuiteReport:
+def suite_mellin(p: Params) -> SuiteReport:
     """Contour layer against its independent oracles."""
     from scipy import special as sp
 
@@ -319,7 +320,7 @@ def suite_mellin(p: Params, **kw) -> SuiteReport:
     ])
 
 
-def suite_kernel(p: Params, **kw) -> SuiteReport:
+def suite_kernel(p: Params) -> SuiteReport:
     """Trace, projection, and first-moment identities of the kernel.
 
     The kernel carries its own integer-constrained parameterization, so the
@@ -378,13 +379,18 @@ SUITES = {
 }
 
 
-def run_suite(name: str, p: Params | None = None, **kw) -> list:
-    """Run one suite (or 'all'); returns a list of SuiteReport."""
+def run_suite(name: str, p: Params | None = None, **options) -> list:
+    """Run one suite (or 'all'); returns a list of SuiteReport.  Each option
+    goes to the selected suites naming it; one that none names raises DomainError."""
     if p is None:
         p = PRESETS["S0"]
-    if name == "all":
-        return [fn(p, **kw) for fn in SUITES.values()]
-    if name not in SUITES:
+    if name != "all" and name not in SUITES:
         raise DomainError(f"unknown suite {name!r}; choose from "
                           f"{sorted(SUITES)} or 'all'")
-    return [SUITES[name](p, **kw)]
+    suites = list(SUITES.values()) if name == "all" else [SUITES[name]]
+    takes = [inspect.signature(fn).parameters for fn in suites]
+    unused = set(options).difference(*takes)
+    if unused:
+        raise DomainError(f"suite {name!r} takes no option {', '.join(sorted(unused))}")
+    return [fn(p, **{k: v for k, v in options.items() if k in names})
+            for fn, names in zip(suites, takes)]

@@ -87,6 +87,11 @@ class TestVerify:
         payload = json.loads(open(out).read())
         assert payload["pass"] is True
 
+    def test_option_no_selected_suite_takes_exits2(self, capsys):
+        # bessel has no matrix size: the option must not be dropped silently
+        assert main(["verify", "--suite", "bessel", "--N", "4"]) == 2
+        assert "takes no option N" in capsys.readouterr().err
+
 
 class TestKernel:
     def test_curve_csv(self, capsys):

@@ -32,6 +32,12 @@ class TestCahenMellin:
             decay_rate=math.pi / 2, poly_power=2.0)
         assert got == pytest.approx(math.exp(-x), rel=1e-10)
 
+    def test_integrand_must_give_one_value_per_node(self):
+        # a scalar for the whole contour is malformed, not a cue to loop
+        with pytest.raises(DomainError):
+            mellin.mb_integrate(lambda t: np.sum(np.exp(sp.loggamma(t))),
+                                decay_rate=math.pi / 2, poly_power=2.0)
+
     def test_symmetry_guard(self):
         # a non-conjugate-symmetric integrand must be flagged, not silently
         # projected to its real part

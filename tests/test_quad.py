@@ -23,8 +23,8 @@ class TestHalfLine:
         assert got == pytest.approx(math.gamma(3.5), rel=1e-10)
 
     def test_vectorized_integrand_error_propagates(self):
-        # only a failed vectorized call falls back to the scalar loop; a
-        # numerical failure inside the integrand must surface
+        # the integrand is called on the whole node array; a numerical
+        # failure inside it must surface
         def f(x):
             if isinstance(x, np.ndarray):
                 raise NonConvergence("inner iteration failed")
@@ -32,6 +32,11 @@ class TestHalfLine:
 
         with pytest.raises(NonConvergence):
             quad.integrate_half_line(f, 1.0)
+
+    def test_integrand_must_give_one_value_per_node(self):
+        # a scalar for the whole array is malformed, not a cue to loop
+        with pytest.raises(DomainError):
+            quad.integrate_half_line(lambda x: float(np.max(np.exp(-x))), 1.0)
 
 
 class TestMoments:

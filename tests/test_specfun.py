@@ -16,6 +16,7 @@ from bmop.specfun import (Params, bessel_i, bessel_k, besselk_mp,
                           rho, rho_at_zero, rho_ladder_mp)
 
 EXT = PrecisionConfig(mode="extended", mantissa_bits=200)
+EXT300 = PrecisionConfig(mode="extended", mantissa_bits=300)
 
 
 class TestParams:
@@ -52,6 +53,21 @@ class TestBessel:
             lhs = (bessel_i(1.5, z).value() * bessel_k(2.5, z).value()
                    + bessel_i(2.5, z).value() * bessel_k(1.5, z).value())
             assert lhs == pytest.approx(1.0 / z, rel=1e-12)
+
+    # scipy's ive underflows and kve overflows at a large order and a small
+    # argument; double mode must then give the extended value, not a
+    # truncated series or an infinite log
+    @pytest.mark.parametrize("order,z", [(200.0, 4.0), (300.0, 10.0), (130.0, 0.4)])
+    def test_i_beyond_scipy_range(self, order, z):
+        ref = bessel_i(order, z, EXT300).log_magnitude
+        assert abs(bessel_i(order, z).log_magnitude - ref) <= 1e-12
+
+    @pytest.mark.parametrize("order,z,log_k", [(300.0, 1.0, 1616.452238338607),
+                                               (170.0, 2.0, 700.7382)])
+    def test_k_beyond_scipy_range(self, order, z, log_k):
+        ref = bessel_k(order, z, EXT300).log_magnitude
+        assert ref == pytest.approx(log_k, rel=1e-7)
+        assert abs(bessel_k(order, z).log_magnitude - ref) <= 1e-12 * ref
 
 
 class TestBesselkMp:

@@ -11,6 +11,33 @@ def test_unknown_suite():
         verify.run_suite("nope")
 
 
+def test_option_no_selected_suite_takes():
+    with pytest.raises(DomainError, match="takes no option N"):
+        verify.run_suite("bessel", N=4)
+
+
+def test_options_reach_the_suites_naming_them(monkeypatch):
+    seen = {}
+
+    def a(p, n_max=None):
+        seen["a"] = n_max
+        return verify.SuiteReport("a", [])
+
+    def b(p, N=None):
+        seen["b"] = N
+        return verify.SuiteReport("b", [])
+
+    def c(p):
+        seen["c"] = True
+        return verify.SuiteReport("c", [])
+
+    monkeypatch.setattr(verify, "SUITES", {"a": a, "b": b, "c": c})
+    verify.run_suite("all", N=4, n_max=3)
+    assert seen == {"a": 3, "b": 4, "c": True}
+    with pytest.raises(DomainError, match="takes no option N"):
+        verify.run_suite("a", N=4)
+
+
 def test_single_suite_shape():
     reports = verify.run_suite("bessel")
     assert len(reports) == 1

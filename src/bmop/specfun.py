@@ -4,17 +4,25 @@ decaying) that everything downstream is built from.
 
 Double mode is backed by scipy.special (exponentially scaled ive/kve); a value
 outside their range, a large order at a small argument, comes from the extended
-evaluator at 64 bits.  Extended mode has one evaluator per family.
-besseli_mp gives I_mu(z).  besselk_mp gives the pair (K_nu(z), K_{nu+1}(z))
+evaluator at 64 bits.  Extended mode has one evaluator per family, and each
+gives a pair of adjacent orders.  besselk_mp gives (K_nu(z), K_{nu+1}(z))
 by the same steps for every real order: Temme's series for the base pair of
 order |mu| <= 1/2 while 2z <= (bits + 20) ln 2, the large-z expansion
 beyond, the closed form at half-integer orders, then the three-term
-recurrence up to nu.  Both series are summed in fixed point, on Python
-ints scaled by 2^wp (mpmath.libmp.to_fixed in, from_man_exp out), since a
-term in pure-Python mpf arithmetic costs several times more; only their
-starting values and prefactors are formed in mpf.  Every shifted order
-comes from a besselk_mp pair or two besseli_mp values by the recurrence,
-run in each family's stable direction (omega_ladder_mp, rho_ladder_mp).
+recurrence up to nu.  besseli_mp gives (I_nu(z), I_{nu+1}(z)) for nu > -1:
+the large-z expansion once 2z > (bits + 20) ln 2 and (2nu + 3)^2 < 8z, the
+power series otherwise.  The second condition makes the expansion's
+alternating terms fall from the first for both orders; the ladder's top
+order for I can be large, and without it the alternating sum cancels
+(nu = 40 at z = 47.6 and 116 bits loses 28 bits).  K needs no such
+condition, since its base order is at most 1/2.  Every series is summed in
+fixed point, on Python ints scaled by 2^wp (mpmath.libmp.to_fixed in,
+from_man_exp out), since a term in pure-Python mpf arithmetic costs several
+times more; only starting values and prefactors are formed in mpf.  The
+large-z expansions of both families share one such summation.  Every
+shifted order comes from one besselk_mp or besseli_mp pair by the
+recurrence, run in each family's stable direction (omega_ladder_mp,
+rho_ladder_mp).
 """
 
 from __future__ import annotations
@@ -96,7 +104,7 @@ def bessel_i(mu: float, z: float, precision: PrecisionConfig = DOUBLE) -> LogVal
         return LogValue(math.inf, 1)  # -1 < mu < 0 diverges at 0
     if precision.extended:
         with mp.workprec(precision.mantissa_bits):
-            return LogValue.from_mpf(besseli_mp(mu, z, precision.mantissa_bits))
+            return LogValue.from_mpf(besseli_mp(mu, z, precision.mantissa_bits)[0])
     scaled = float(sp.ive(mu, z))  # I_mu(z) * exp(-z)
     if scaled > 0 and math.isfinite(scaled):
         return LogValue(math.log(scaled) + z, 1)
@@ -159,23 +167,27 @@ def rho_mp(nu, b, x, bits: int = 200):
     return rho_ladder_mp(nu, b, x, 0, bits)[0]
 
 
-def _besselk_asymptotic(mu, z, bits: int):
-    """(K_mu(z), K_{mu+1}(z)) from the large-z expansion; valid once
-    e^(-2z) < 2^-bits.
+def _large_z_pair(mu, z, bits: int, sign: int):
+    """(K_mu(z), K_{mu+1}(z)) for sign = 1 and (I_mu(z), I_{mu+1}(z)) for
+    sign = -1, from the large-z expansion sum_k sign^k a_k(nu) / z^k
+    (DLMF 10.40.1-2); valid once e^(-2z) < 2^-bits.
 
     Each ratio series is summed in fixed point, on integers scaled by 2^wp,
     as mpmath's own hypergeometric summation does: a term is one multiply
     and one divide of Python ints instead of several mpf operations.  Only
-    the factor sqrt(pi/2z) e^(-z) is formed in mpf.
+    the factor sqrt(pi/2z) e^(-z), or e^z / sqrt(2 pi z), is formed in mpf.
     """
     wp = bits + 30  # 10 bits above the tolerance for the truncated divisions
     with mp.workprec(wp):
         z, mu = mp.mpf(z), mp.mpf(mu)
         one = 1 << wp
-        z8 = 8 * to_fixed(z._mpf_, wp)
+        z8 = sign * 8 * to_fixed(z._mpf_, wp)
         tol = 1 << (wp - bits - 10)  # 2^-(bits+10)
         kmax = 2 * float(z)  # past the optimal truncation point
-        prefactor = mpmath.sqrt(mp.pi / (2 * z)) * mpmath.exp(-z)
+        if sign > 0:
+            prefactor = mpmath.sqrt(mp.pi / (2 * z)) * mpmath.exp(-z)
+        else:
+            prefactor = mpmath.exp(z) / mpmath.sqrt(2 * mp.pi * z)
         pair = []
         for nu in (mu, mu + 1):
             four_nu2 = to_fixed((4 * nu * nu)._mpf_, wp)
@@ -258,7 +270,7 @@ def besselk_mp(nu, z, bits: int = 200):
         elif 2 * z <= (bits + 20) * math.log(2.0):
             k0, k1 = _besselk_temme(mu, z, bits)
         else:
-            k0, k1 = _besselk_asymptotic(mu, z, bits)
+            k0, k1 = _large_z_pair(mu, z, bits, 1)
         for j in range(n):
             k0, k1 = k1, k0 + 2 * (mu + j + 1) / z * k1
         for j in range(-n):
@@ -266,13 +278,59 @@ def besselk_mp(nu, z, bits: int = 200):
         return k0, k1
 
 
-def besseli_mp(mu, z, bits: int = 200):
-    """I_mu(z) as an mpf at the requested precision."""
-    with mp.workprec(bits):
-        return mpmath.besseli(mu, z)
+def _besseli_series(nu, z, bits: int):
+    """(I_nu(z), I_{nu+1}(z)) from the power series, DLMF 10.25.2:
+    I_nu = (z/2)^nu / Gamma(nu+1) sum_k t_k with t_0 = 1 and
+    t_k = t_{k-1} (z^2/4) / (k (nu+k)), and I_{nu+1} = (z/2)^(nu+1) /
+    Gamma(nu+1) sum_k t_k / (nu+k+1).
+
+    For nu > -1 every term is positive, so both sums are summed in one loop
+    in fixed point, on integers scaled by 2^wp, with only the truncation
+    guard bits; the prefactor is formed in mpf.
+    """
+    wp = bits + 30  # 10 bits above the tolerance for the truncated divisions
+    with mp.workprec(wp):
+        z, nu = mp.mpf(z), mp.mpf(nu)
+        one = 1 << wp
+        h, m = (to_fixed(v._mpf_, wp) for v in (z * z / 4, nu))
+        tol = 1 << (wp - bits - 10)  # 2^-(bits+10)
+        d = m + one  # nu + k + 1
+        t = s0 = one
+        s1 = (one << wp) // d
+        k = 0
+        # past the largest term the ratios h / (k (nu + k)) fall; once the
+        # next is below 1/2, the tail of the first sum (>= 1) is below t,
+        # and that of the second (>= 1/(nu+1)) below t / (nu + k + 2)
+        while t > tol or 2 * h >= (k + 1) * d:
+            k += 1
+            t = t * h // (k * d)
+            d += one
+            s0 += t
+            s1 += (t << wp) // d
+        prefactor = mpmath.power(z / 2, nu) * mpmath.rgamma(nu + 1)
+        s0, s1 = (mp.make_mpf(from_man_exp(s, -wp)) for s in (s0, s1))
+        return prefactor * s0, prefactor * z / 2 * s1
 
 
-# Order ladders: two Bessel values per point, the other orders by the
+def besseli_mp(nu, z, bits: int = 200):
+    """The pair (I_nu(z), I_{nu+1}(z)) as mpfs at the requested precision,
+    for nu > -1 and z > 0.
+
+    The large-z expansion once 2z > (bits + 20) ln 2, as for K, and
+    (2nu + 3)^2 < 8z, so that its alternating terms fall from the first;
+    the power series otherwise.
+    """
+    zf, nuf = float(z), float(nu)  # compared as floats: mpf comparisons cost more
+    if not zf > 0:
+        raise DomainError(f"besseli_mp requires z > 0, got {z}")
+    if not nuf > -1:
+        raise DomainError(f"besseli_mp requires nu > -1, got {nu}")
+    if 2 * zf > (bits + 20) * math.log(2.0) and (2 * nuf + 3) ** 2 < 8 * zf:
+        return _large_z_pair(nu, z, bits, -1)
+    return _besseli_series(nu, z, bits)
+
+
+# Order ladders: one Bessel pair per point, the other orders by the
 # three-term recurrence in its stable direction (W. Gautschi, SIAM Rev. 9
 # (1967) 24-82): downward for I, upward for K.  Both work at bits + 20.
 
@@ -284,8 +342,7 @@ def omega_ladder_mp(mu, a, x, jmax: int, bits: int = 200) -> list:
         s = mpmath.sqrt(x)
         z = 2 * a * s
         ladder = [mp.mpf(0)] * (jmax + 2)
-        ladder[jmax + 1] = besseli_mp(mu + jmax + 1, z, bits + 20)
-        ladder[jmax] = besseli_mp(mu + jmax, z, bits + 20)
+        ladder[jmax], ladder[jmax + 1] = besseli_mp(mu + jmax, z, bits + 20)
         for j in range(jmax - 1, -1, -1):
             ladder[j] = ladder[j + 2] + 2 * (mu + j + 1) / z * ladder[j + 1]
         return _times_powers(ladder, mu, x, s, jmax)

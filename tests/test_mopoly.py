@@ -4,6 +4,8 @@ import warnings
 import mpmath
 import pytest
 import scipy.special as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bmop import mopoly, specfun
 from bmop.errors import DomainError, DoubleOverflow, PrecisionLossWarning
@@ -177,6 +179,48 @@ def test_extended_p_takes_one_k_pair(monkeypatch):
     for p in (P1, P0, Params(0.3, 1.3, 0.9, 1.8)):
         assert math.isfinite(mopoly.p_eval(p, 5, 0.7, EXT))
         assert specfun.bessel_k(p.nu, 1.3, EXT).value() > 0
+
+
+def test_extended_q_takes_one_i_pair(monkeypatch):
+    # the omega ladder takes its top pair from one besseli_mp call; every
+    # lower order comes from the recurrence, and nothing reaches mpmath's I
+    calls = []
+    besseli_mp = specfun.besseli_mp
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return besseli_mp(*args, **kwargs)
+
+    def fail(*args, **kwargs):
+        raise AssertionError("mpmath.besseli called")
+
+    monkeypatch.setattr(specfun, "besseli_mp", counted)
+    monkeypatch.setattr(mpmath, "besseli", fail)
+    assert math.isfinite(mopoly.q_eval(P1, 12, 0.7, EXT))
+    assert calls == [P1.mu + 12]
+    for p in (P1, P0, Params(0.3, 1.3, 0.9, 1.8)):
+        assert math.isfinite(mopoly.q_eval(p, 5, 0.7, EXT))
+        assert specfun.bessel_i(p.mu, 1.3, EXT).value() > 0
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(mu=st.floats(-1.0, 0.0, exclude_min=True, exclude_max=True),
+       nu=st.integers(1, 7).map(float),
+       b=st.floats(2.0, 30.0),
+       ratio=st.floats(1.001, 1.1))
+def test_extended_q_matches_series_off_the_presets(mu, nu, b, ratio):
+    # extended Q_n, from the ladder's top I pair, against the double series,
+    # which needs no Bessel function; the scale and the 1e-9 bound are
+    # criterion 3's
+    p = Params(mu, nu, b / ratio, b)
+    xs = (0.1, 0.5, 1.0, 2.0, 5.0, 10.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", PrecisionLossWarning)
+        for n in range(11):
+            rows = [(mopoly.q_eval(p, n, x, EXT), mopoly.q_eval_series(p, n, x)) for x in xs]
+            scale = max(abs(direct) for direct, _ in rows)
+            for direct, series in rows:
+                assert abs(direct - series) <= 1e-9 * scale
 
 
 def test_double_route_escalates_near_a_zero():

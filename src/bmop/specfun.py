@@ -293,15 +293,15 @@ def _besseli_series(nu, z, bits: int):
         z, nu = mp.mpf(z), mp.mpf(nu)
         one = 1 << wp
         h, m = (to_fixed(v._mpf_, wp) for v in (z * z / 4, nu))
-        tol = 1 << (wp - bits - 10)  # 2^-(bits+10)
         d = m + one  # nu + k + 1
         t = s0 = one
         s1 = (one << wp) // d
         k = 0
         # past the largest term the ratios h / (k (nu + k)) fall; once the
-        # next is below 1/2, the tail of the first sum (>= 1) is below t,
-        # and that of the second (>= 1/(nu+1)) below t / (nu + k + 2)
-        while t > tol or 2 * h >= (k + 1) * d:
+        # next is below 1/2, the tail of the first sum is below t, and that
+        # of the second below t / (nu + k + 2) <= s1 t / s0; a stop relative
+        # to s0 (>= 1) therefore bounds both tails to 2^-(bits+10) of their sums
+        while t > s0 >> (bits + 10) or 2 * h >= (k + 1) * d:
             k += 1
             t = t * h // (k * d)
             d += one

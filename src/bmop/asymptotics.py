@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import math
 
+from mpmath import mp
+
+from . import mopoly
 from .errors import DomainError
 from .mellin import meijer_g203
 from .precision import PrecisionConfig, bits_for
@@ -93,20 +96,16 @@ def mehler_heine_scaled_p(p: Params, n: int, x: float,
     """(-1)^n n! (n+1)^nu P_n(x / ((n+1)(b^2-a^2))): the left side of the
     Mehler-Heine limit at finite n.
 
-    The dual form at tiny argument is an alternating gamma-sized sum, so
-    this defaults to extended precision at `bits_for(n)`.
+    The dual form at tiny argument is an alternating gamma-sized sum, so it
+    is formed at the bits of an extended `precision`, else at `bits_for(n)`,
+    and scaled as an mpf: P_n itself falls below double range near n = 200.
     """
-    from .mopoly import p_eval
-
-    if precision is None:
-        precision = PrecisionConfig(mode="extended", mantissa_bits=bits_for(n))
-    arg = x / ((n + 1.0) * p.gap)
-    val = p_eval(p, n, arg, precision)
-    sign = -1.0 if n % 2 else 1.0
-    # n! (n+1)^nu in log space to survive n in the hundreds
-    log_scale = math.lgamma(n + 1.0) + p.nu * math.log(n + 1.0)
-    return sign * math.exp(log_scale + math.log(abs(val))) * math.copysign(1.0, val) \
-        if val != 0.0 else 0.0
+    if n < 0 or x <= 0:
+        raise DomainError("need n >= 0 and x > 0")
+    bits = precision.mantissa_bits if precision and precision.extended else bits_for(n)
+    val = mopoly._expansion_mp(mopoly._p_family(p), n, x / ((n + 1.0) * p.gap), bits)
+    with mp.workprec(bits):
+        return float((-1) ** n * mp.factorial(n) * mp.mpf(n + 1) ** p.nu * val)
 
 
 def mehler_heine_limit(p: Params, x: float) -> float:

@@ -163,9 +163,21 @@ def _escalation(label: str, n: int, ratio: float, in_range: bool, stacklevel: in
     return bits_for(n, ratio)
 
 
-def _out_of_range(label: str, value, n: int, x: float) -> DoubleOverflow:
-    return DoubleOverflow(f"{label}: |value| {mpmath.nstr(abs(value), 5)} at n={n}, "
-                          f"x={x} is beyond double range")
+def _to_double(label: str, value, n: int, x: float) -> float:
+    """An extended result as a float; DoubleOverflow when it rounds to inf,
+    or to 0.0 from a nonzero value."""
+    out = float(value)
+    if math.isinf(out) or (out == 0.0 and value != 0):
+        where = "beyond" if out else "below"
+        raise DoubleOverflow(f"{label}: |value| {mpmath.nstr(abs(value), 5)} at n={n}, "
+                             f"x={x} is {where} double range")
+    return out
+
+
+def _expansion_mp(f: _Family, n: int, x: float, bits: int):
+    """sum_j c_j w_{order+j}(x) as an mpf: one order ladder at `bits`."""
+    with mp.workprec(bits):
+        return mp.fdot(_coeffs_mp(f, n), f.ladder_mp(f.order, f.scale, x, n, bits))
 
 
 def _expansion_eval(label: str, f: _Family, n: int, x: float,
@@ -191,12 +203,7 @@ def _expansion_eval(label: str, f: _Family, n: int, x: float,
         bits = _escalation(label, n, ratio, total != 0.0 and math.isfinite(total), stacklevel=3)
         if bits is None:
             return total
-    with mp.workprec(bits):
-        value = mp.fdot(_coeffs_mp(f, n), f.ladder_mp(f.order, f.scale, x, n, bits))
-    out = float(value)
-    if math.isinf(out):
-        raise _out_of_range(label, value, n, x)
-    return out
+    return _to_double(label, _expansion_mp(f, n, x, bits), n, x)
 
 
 def q_eval(p: Params, n: int, x: float, precision: PrecisionConfig = DOUBLE) -> float:
@@ -357,16 +364,16 @@ def q_eval_series(p: Params, n: int, x: float, precision: PrecisionConfig = DOUB
         ratio = math.inf if acc == 0 else max_term / abs(acc)
         # false for a nan or inf sum; max(., 1) also keeps exp(pref_log) finite
         in_range = pref_log + math.log(max(abs(acc), 1.0)) < _LOG_DOUBLE_MAX
-        bits = _escalation("q_eval_series", n, ratio, in_range, stacklevel=2)
+        out = pref_sign * math.exp(pref_log) * acc if in_range else math.inf
+        # a nonzero sum that rounds to 0.0 is below double range
+        bits = _escalation("q_eval_series", n, ratio, in_range and (out != 0.0 or acc == 0),
+                           stacklevel=2)
         if bits is None:
-            return pref_sign * math.exp(pref_log) * acc
+            return out
     with mp.workprec(bits):
         acc, _ = _q_series_run(p, n, x, mp.mpf(1), float(10 ** (-mp.dps)))
         value = pref_sign * mpmath.exp(mp.mpf(pref_log)) * acc
-    out = float(value)
-    if math.isinf(out):
-        raise _out_of_range("q_eval_series", value, n, x)
-    return out
+    return _to_double("q_eval_series", value, n, x)
 
 
 # ---------------------------------------------------------------------------

@@ -242,14 +242,14 @@ def _log_product_tail(p: Params, n: int, u: float) -> float:
 
 class ProductRule:
     """Graded Gauss rule for the weighted inner products
-    integral of x^k f(x) g(x) over (0, inf), where f and g are tabulated
-    forms Q_n, P_m with n, m <= jmax.
+    integral of x^k Q_n(x) P_m(x) over (0, inf) with n, m <= jmax.
 
     The rule covers the oscillation window of Q_jmax and extends by 1.5x
     until the tail bound of Q_jmax P_jmax drops below cfg.abs_tol; all
     such products share the decay rate 2(b-a) in sqrt(x), so one node set
-    serves every pair.  The nodes are mpf (x = u^2 with Gauss-Legendre in u)
-    and `grid` holds the weight tables at them, built on first use.
+    serves every pair.  The nodes are mpf (x = u^2 with Gauss-Legendre in u).
+    The weight tables at the nodes, and each Q_n and P_m formed from them,
+    are built on first use and kept while the rule lives.
     """
 
     def __init__(self, p: Params, jmax: int, bits: int = 200,
@@ -264,26 +264,33 @@ class ProductRule:
             u_max *= 1.5
         else:
             raise NonConvergence("product tail bound not reached within max_doublings")
+        self.params = p
         self.bits = bits
         us, ws = panel_nodes_mp(u_max, max(16, int(math.ceil(u_max))), cfg.panel_order, bits)
         with mp.workprec(bits):
             self.xs = [u * u for u in us]
             # weights w 2u x^power, by power
             self._weights = {0: [w * 2 * u for w, u in zip(ws, us)]}
-        self.grid = mopoly.WeightGrid(p, jmax, self.xs, bits=bits)
+        self._grid = mopoly.WeightGrid(p, jmax, self.xs, bits=bits)
+        self._q, self._p = {}, {}
 
-    def integral(self, f_vals, g_vals, power: int = 0):
-        """sum of f g w 2u x^power over the nodes, as an mpf at `bits`.
+    def integral(self, n: int, m: int, power: int = 0):
+        """integral of x^power Q_n P_m: the sum of Q_n P_m w 2u x^power over
+        the nodes, as an mpf at `bits`.
 
         The integrands' absolute mass can exceed 1e10 where the integral
         vanishes, so the products and the sum stay in multiprecision.
         """
+        if n not in self._q:
+            self._q[n] = self._grid.q_values_mp(n)
+        if m not in self._p:
+            self._p[m] = self._grid.p_values_mp(m)
         with mp.workprec(self.bits):
             if power not in self._weights:
                 self._weights[power] = [w * x ** power
                                         for w, x in zip(self._weights[0], self.xs)]
             ws = self._weights[power]
-            return mpmath.fsum(f * g * w for f, g, w in zip(f_vals, g_vals, ws))
+            return mpmath.fsum(f * g * w for f, g, w in zip(self._q[n], self._p[m], ws))
 
 
 def biorth_matrix(p: Params, N: int, cfg: QuadConfig = QuadConfig(),
@@ -296,25 +303,15 @@ def biorth_matrix(p: Params, N: int, cfg: QuadConfig = QuadConfig(),
     if N < 1:
         raise DomainError("N must be >= 1")
     rule = ProductRule(p, N - 1, bits, cfg)
-    qv = [rule.grid.q_values_mp(n) for n in range(N)]
-    pv = [rule.grid.p_values_mp(m) for m in range(N)]
-    out = np.empty((N, N))
-    for n in range(N):
-        for m in range(N):
-            out[n, m] = float(rule.integral(qv[n], pv[m]))
+    out = np.array([[float(rule.integral(n, m)) for m in range(N)] for n in range(N)])
     return BiorthReport(N, out)
 
 
-def q_rho_moment(p: Params, n: int, j: int) -> float:
+def q_rho_moment(p: Params, n: int, j: int) -> tuple[float, float]:
     """Integral of Q_n against the (nu+j)-shifted second-kind weight via the
-    closed-form moments (vanishes for j < n)."""
+    closed-form moments (vanishes for j < n), and the largest |term| of that
+    sum, for relative-vanishing checks."""
     with mp.workprec(200):
         qc = mopoly._coeffs_mp(mopoly._q_family(p), n)
-        return float(mpmath.fsum(qc[i] * _moment_mp(p, i, j) for i in range(n + 1)))
-
-
-def q_rho_moment_scale(p: Params, n: int, j: int) -> float:
-    """Largest |term| in q_rho_moment, for relative-vanishing checks."""
-    with mp.workprec(200):
-        qc = mopoly._coeffs_mp(mopoly._q_family(p), n)
-        return float(max(abs(qc[i] * _moment_mp(p, i, j)) for i in range(n + 1)))
+        terms = [qc[i] * _moment_mp(p, i, j) for i in range(n + 1)]
+        return float(mpmath.fsum(terms)), float(max(abs(t) for t in terms))

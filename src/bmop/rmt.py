@@ -168,14 +168,6 @@ def _diagonal_density(spec: KernelSpec, xs) -> np.ndarray:
     return sum(wg.q_values(k) * wg.p_values(k) for k in range(spec.n))
 
 
-def _diagonal_integrals(spec: KernelSpec, cfg: quad.QuadConfig, bits: int,
-                        power: int) -> list:
-    """integral of x^power Q_k P_k for k < n as mpf, on one product rule."""
-    rule = quad.ProductRule(spec.params, spec.n - 1, bits, cfg)
-    return [rule.integral(rule.grid.q_values_mp(k), rule.grid.p_values_mp(k), power)
-            for k in range(spec.n)]
-
-
 def kernel_trace(spec: KernelSpec, cfg: quad.QuadConfig = quad.QuadConfig(),
                  bits: int = 200) -> float:
     """Integral of K_n(x, x) over (0, inf); equals n by biorthogonality."""
@@ -185,19 +177,21 @@ def kernel_trace(spec: KernelSpec, cfg: quad.QuadConfig = quad.QuadConfig(),
 def kernel_first_moment(spec: KernelSpec, cfg: quad.QuadConfig = quad.QuadConfig(),
                         bits: int = 200) -> float:
     """Integral of x K_n(x, x) dx; equals the recurrence sum of a_{0,k}."""
+    rule = quad.ProductRule(spec.params, spec.n - 1, bits, cfg)
     with mp.workprec(bits):
-        return float(mpmath.fsum(_diagonal_integrals(spec, cfg, bits, 1)))
+        return float(mpmath.fsum(rule.integral(k, k, 1) for k in range(spec.n)))
 
 
 def kernel_trace_partials(spec: KernelSpec,
                           cfg: quad.QuadConfig = quad.QuadConfig(),
                           bits: int = 200) -> list:
-    """Traces of K_1 .. K_n from one shared grid.
+    """Traces of K_1 .. K_n from one product rule.
 
     The trace of K_m is the cumulative sum of the diagonal integrals
     d_k = integral Q_k P_k, so all sizes up to n share one weight table.
     """
-    diagonal = _diagonal_integrals(spec, cfg, bits, 0)
+    rule = quad.ProductRule(spec.params, spec.n - 1, bits, cfg)
+    diagonal = [rule.integral(k, k) for k in range(spec.n)]
     with mp.workprec(bits):
         return [float(t) for t in itertools.accumulate(diagonal)]
 

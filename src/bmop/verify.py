@@ -8,6 +8,7 @@ a pass certifies agreement, not self-consistency of a single code path.
 from __future__ import annotations
 
 import inspect
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -119,8 +120,8 @@ def suite_biorth(p: Params, N: int = 6) -> SuiteReport:
                      for i in range(9) for j in range(9))
     rep_q = quad.biorth_matrix(p, N)
     rep_m = quad.biorth_matrix_moments(p, N)
-    worst_lin = _worst(abs(quad.q_rho_moment(p, n, j)) / quad.q_rho_moment_scale(p, n, j)
-                       for n in range(1, 7) for j in range(n))
+    worst_lin = _worst(abs(val) / scale for val, scale in
+                       (quad.q_rho_moment(p, n, j) for n in range(1, 7) for j in range(n)))
     return SuiteReport("biorth", [
         CheckResult("moment_oracle", worst_m, 1e-10),
         CheckResult("quadrature_identity",
@@ -166,8 +167,6 @@ def suite_recurrence(p: Params, n_max: int = 12) -> SuiteReport:
 def _integral_identity_error(p: Params, n_cap: int = 6) -> float:
     """max relative error of a_{i,n} = integral of x Q_n P_{n+i}."""
     rule = quad.ProductRule(p, n_cap + 2, 200, quad.QuadConfig(abs_tol=1e-16))
-    qv = [rule.grid.q_values_mp(n) for n in range(n_cap + 1)]
-    pv = [rule.grid.p_values_mp(m) for m in range(n_cap + 3)]
     errs = []
     for n in range(n_cap + 1):
         c = recurrence.q_recurrence_coeffs(p, n)
@@ -176,7 +175,7 @@ def _integral_identity_error(p: Params, n_cap: int = 6) -> float:
             m = n + i
             if m < 0 or ref == 0.0:
                 continue
-            errs.append(_rel(float(rule.integral(qv[n], pv[m], 1)), ref))
+            errs.append(_rel(float(rule.integral(n, m, 1)), ref))
     return _worst(errs)
 
 
@@ -325,14 +324,20 @@ def suite_kernel(p: Params) -> SuiteReport:
 
     The kernel carries its own integer-constrained parameterization, so the
     checks run on a fixed representative spec rather than on the preset.
+    One product rule for K_6 serves every size: the traces of K_1 .. K_6
+    and the first moments of K_2, K_3 are prefix sums of its diagonal
+    integrals, and the projections of K_1 .. K_4 read its leading block.
     """
-    traces = rmt.kernel_trace_partials(rmt.KernelSpec(0, 2.0, 0.5, 1.5, 6))
-    worst_t = _worst(abs(t - (m + 1)) for m, t in enumerate(traces))
-    worst_proj = _projection_error(rmt.KernelSpec(0, 2.0, 0.5, 1.5, 4),
-                                   sizes=(1, 2, 3, 4))
-    specs = [rmt.KernelSpec(0, 2.0, 0.5, 1.5, n) for n in (2, 3)]
-    worst_m = _worst(_rel(rmt.kernel_first_moment(s), rmt.mean_trace_identity(s))
-                     for s in specs)
+    spec = rmt.KernelSpec(0, 2.0, 0.5, 1.5, 6)
+    rule = quad.ProductRule(spec.params, spec.n - 1)
+    with mp.workprec(rule.bits):
+        traces = itertools.accumulate(rule.integral(k, k) for k in range(spec.n))
+        worst_t = _worst(float(abs(t - m)) for m, t in enumerate(traces, 1))
+        moments = [rule.integral(k, k, 1) for k in range(3)]
+        worst_m = _worst(_rel(float(mpmath.fsum(moments[:n])),
+                              rmt.mean_trace_identity(rmt.KernelSpec(0, 2.0, 0.5, 1.5, n)))
+                         for n in (2, 3))
+    worst_proj = _projection_error(rule, 4)
     return SuiteReport("kernel", [
         CheckResult("trace", worst_t, 1e-8),
         CheckResult("projection", worst_proj, 1e-6),
@@ -340,26 +345,23 @@ def suite_kernel(p: Params) -> SuiteReport:
     ])
 
 
-def _projection_error(spec: rmt.KernelSpec, sizes=None) -> float:
+def _projection_error(rule: quad.ProductRule, n: int) -> float:
     """max relative error of the reproducing identity
-    integral K(x,t) K(t,y) dt = K(x,y) on a 3x3 grid.
-
-    `sizes` lists the kernel sizes to test; each size m <= spec.n uses the
-    leading m x m block of the one cross-product matrix.
+    integral K_m(x,t) K_m(t,y) dt = K_m(x,y) on a 3x3 grid, for each kernel
+    size m <= n, from the leading m x m block of one cross-product matrix
+    on `rule`.
     """
-    if sizes is None:
-        sizes = (spec.n,)
-    p = spec.params
+    p = rule.params
     pts = (0.5, 2.0, 6.0)
     # B[k][l] = integral P_k(t) Q_l(t) dt, the transposed biorthogonality
     # matrix; the projected kernel is sum_{k,l} Q_k(x) B[k][l] P_l(y)
-    B = quad.biorth_matrix(p, spec.n).matrix.T
+    B = [[float(rule.integral(l, k)) for l in range(n)] for k in range(n)]
     errs = []
     for x in pts:
-        qx = [mopoly.q_eval(p, k, x, _EXT) for k in range(spec.n)]
+        qx = [mopoly.q_eval(p, k, x, _EXT) for k in range(n)]
         for y in pts:
-            py = [mopoly.p_eval(p, l, y, _EXT) for l in range(spec.n)]
-            for m in sizes:
+            py = [mopoly.p_eval(p, l, y, _EXT) for l in range(n)]
+            for m in range(1, n + 1):
                 direct = math.fsum(qx[k] * py[k] for k in range(m))
                 proj = math.fsum(qx[k] * B[k][l] * py[l]
                                  for k in range(m) for l in range(m))

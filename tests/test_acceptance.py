@@ -188,16 +188,10 @@ def test_criterion_08_mellin_barnes():
 
 
 def test_criterion_09_kernel():
-    traces = rmt.kernel_trace_partials(rmt.KernelSpec(0, 2.0, 0.5, 1.5, 6))
-    worst_tr = max(abs(t - (m + 1)) for m, t in enumerate(traces))
-    worst_proj = verify._projection_error(rmt.KernelSpec(0, 2.0, 0.5, 1.5, 4),
-                                          sizes=(1, 2, 3, 4))
-    worst_mom = 0.0
-    for n in (2, 3):
-        s = rmt.KernelSpec(0, 2.0, 0.5, 1.5, n)
-        got = rmt.kernel_first_moment(s)
-        ref = rmt.mean_trace_identity(s)
-        worst_mom = max(worst_mom, abs(got - ref) / abs(ref))
+    # traces of K_1 .. K_6, projections of K_1 .. K_4 and first moments of
+    # K_2, K_3, all read from one product rule
+    checks = {c.name: c.max_error for c in verify.suite_kernel(verify.PRESETS["S0"]).checks}
+    worst_tr, worst_proj, worst_mom = (checks[k] for k in ("trace", "projection", "first_moment"))
     ok = worst_tr <= 1e-8 and worst_proj <= 1e-6 and worst_mom <= 1e-6
     report(9, "correlation kernel", ok,
            f"trace {worst_tr:.2e} <= 1e-8 (n <= 6), projection "

@@ -4,8 +4,8 @@ import pytest
 
 from bmop import asymptotics as asy
 from bmop import mellin, mopoly
-from bmop.errors import DomainError
-from bmop.precision import PrecisionConfig
+from bmop.errors import DomainError, DoubleOverflow
+from bmop.precision import PrecisionConfig, bits_for
 from bmop.specfun import Params
 
 EXT = PrecisionConfig(mode="extended", mantissa_bits=300)
@@ -114,6 +114,16 @@ class TestMehlerHeine:
         p = Params(0.3, 1.3, 0.9, 1.8)
         lim = asy.mehler_heine_limit(p, 1.0)
         assert abs(asy.mehler_heine_scaled_p(p, 60, 1.0) - lim) <= 2e-2 * abs(lim)
+
+    def test_below_double_range(self):
+        # P_200 at the scaled point is 1.5e-378: p_eval raises rather than
+        # return 0.0, and the scaling is applied before rounding to a double
+        n, x = 200, 0.5
+        with pytest.raises(DoubleOverflow, match="below double range"):
+            mopoly.p_eval(P0, n, x / ((n + 1) * P0.gap),
+                          PrecisionConfig(mode="extended", mantissa_bits=bits_for(n)))
+        lim = asy.mehler_heine_limit(P0, x)
+        assert abs(asy.mehler_heine_scaled_p(P0, n, x) - lim) <= 1e-2 * abs(lim)
 
     def test_domain(self):
         with pytest.raises(DomainError):

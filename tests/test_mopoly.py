@@ -233,21 +233,34 @@ def test_double_route_escalates_near_a_zero():
 
 def test_overflow_beyond_double_range_raises():
     # Q_2(4) at a = 200 is 2.2e346: finite in mpf, beyond a double in both
-    # modes (the double pass escalates); an underflow still gives 0.0
+    # modes (the double pass escalates); P_2(4) there is below double range
     big_a = Params(0.5, 1.5, 200, 201)
     with pytest.raises(DoubleOverflow):
         mopoly.q_eval(big_a, 2, 4.0, EXT)
     with pytest.warns(PrecisionLossWarning, match="double range"), \
             pytest.raises(DoubleOverflow):
         mopoly.q_eval(big_a, 2, 4.0)
-    assert mopoly.p_eval(big_a, 2, 4.0, EXT) == 0.0
+    with pytest.raises(DoubleOverflow, match="below double range"):
+        mopoly.p_eval(big_a, 2, 4.0, EXT)
+
+
+@pytest.mark.parametrize("route", [mopoly.q_eval, mopoly.q_eval_series])
+def test_underflow_below_double_range_raises(route):
+    # Q_1(1e-120) at mu = 3 is 9.2e-361: nonzero in mpf, 0.0 as a double
+    p = Params(3.0, 1.5, 1.0, 2.0)
+    with pytest.raises(DoubleOverflow, match="below double range"):
+        route(p, 1, 1e-120, EXT)
+    with pytest.warns(PrecisionLossWarning, match="double range"), \
+            pytest.raises(DoubleOverflow, match="below double range"):
+        route(p, 1, 1e-120)
 
 
 def test_escalation_names_its_cause():
     # an underflow is a range escalation too; past degree 30 there is no
     # double pass to measure
-    with pytest.warns(PrecisionLossWarning, match="double range"):
-        assert mopoly.p_eval(Params(0.5, 1.5, 200, 201), 2, 4.0) == 0.0
+    with pytest.warns(PrecisionLossWarning, match="double range"), \
+            pytest.raises(DoubleOverflow):
+        mopoly.p_eval(Params(0.5, 1.5, 200, 201), 2, 4.0)
     with pytest.warns(PrecisionLossWarning, match="degree above 30"):
         assert mopoly.q_eval(P0, 31, 2.0) == pytest.approx(mopoly.q_eval(P0, 31, 2.0, EXT))
     with pytest.warns(PrecisionLossWarning, match="q_eval_series: degree above 30"):

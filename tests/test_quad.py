@@ -1,9 +1,10 @@
+import collections
 import math
 
 import numpy as np
 import pytest
 
-from bmop import quad
+from bmop import mopoly, quad
 from bmop.errors import DomainError, NonConvergence
 from bmop.specfun import Params
 
@@ -77,12 +78,22 @@ class TestBiorthogonality:
         # Q_n kills rho-moments of order below n
         for n in (1, 3, 5):
             for j in range(n):
-                val = quad.q_rho_moment(P0, n, j)
-                scale = quad.q_rho_moment_scale(P0, n, j)
+                val, scale = quad.q_rho_moment(P0, n, j)
                 assert abs(val) <= 1e-12 * scale
 
 
 class TestProductRule:
+    def test_each_form_is_formed_once(self, monkeypatch):
+        # the N^2 entries of the matrix read N forms of each family
+        calls = collections.Counter()
+        for name in ("q_values_mp", "p_values_mp"):
+            def counted(self, n, name=name, method=getattr(mopoly.WeightGrid, name)):
+                calls[name] += 1
+                return method(self, n)
+            monkeypatch.setattr(mopoly.WeightGrid, name, counted)
+        quad.biorth_matrix(P0, 4)
+        assert calls == {"q_values_mp": 4, "p_values_mp": 4}
+
     def test_tail_bound_unreachable(self):
         cfg = quad.QuadConfig(abs_tol=1e-300, max_doublings=2)
         with pytest.raises(NonConvergence):

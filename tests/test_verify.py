@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from bmop import lommel, verify
+from bmop import lommel, mopoly, verify
 from bmop.errors import DomainError
 
 
@@ -82,3 +82,16 @@ def test_large_a_limit_uses_every_point():
     # scaled value must still enter the error
     checks = {c.name: c.max_error for c in verify.suite_limits(verify.PRESETS["S0"]).checks}
     assert checks["large_a_final"] == pytest.approx(4.005e-3, rel=1e-3)
+
+
+def test_kernel_suite_builds_one_weight_grid(monkeypatch):
+    builds = []
+    init = mopoly.WeightGrid.__init__
+
+    def counted(self, *args, **kwargs):
+        builds.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(mopoly.WeightGrid, "__init__", counted)
+    assert verify.suite_kernel(verify.PRESETS["S0"]).passed
+    assert len(builds) == 1

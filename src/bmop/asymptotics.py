@@ -15,7 +15,7 @@ from mpmath import mp
 from . import mopoly
 from .errors import DomainError
 from .mellin import meijer_g203
-from .precision import PrecisionConfig, bits_for
+from .precision import bits_for
 from .specfun import Params, hyp_terminating, log_gamma, pochhammer
 
 
@@ -91,18 +91,17 @@ def p_at_zero(p: Params, n: int) -> float:
     return sign * math.exp(log_pref) * hyp
 
 
-def mehler_heine_scaled_p(p: Params, n: int, x: float,
-                          precision: PrecisionConfig | None = None) -> float:
+def mehler_heine_scaled_p(p: Params, n: int, x: float) -> float:
     """(-1)^n n! (n+1)^nu P_n(x / ((n+1)(b^2-a^2))): the left side of the
     Mehler-Heine limit at finite n.
 
     The dual form at tiny argument is an alternating gamma-sized sum, so it
-    is formed at the bits of an extended `precision`, else at `bits_for(n)`,
-    and scaled as an mpf: P_n itself falls below double range near n = 200.
+    is formed at `bits_for(n)` and scaled as an mpf: P_n itself falls below
+    double range near n = 200.
     """
     if n < 0 or x <= 0:
         raise DomainError("need n >= 0 and x > 0")
-    bits = precision.mantissa_bits if precision and precision.extended else bits_for(n)
+    bits = bits_for(n)
     val = mopoly._expansion_mp(mopoly._p_family(p), n, x / ((n + 1.0) * p.gap), bits)
     with mp.workprec(bits):
         return float((-1) ** n * mp.factorial(n) * mp.mpf(n + 1) ** p.nu * val)

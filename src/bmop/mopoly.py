@@ -248,7 +248,7 @@ def _det_full_pivot(rows):
     return det
 
 
-def _det_eval(f: _Family, n: int, x: float, precision: PrecisionConfig) -> float:
+def _det_eval(label: str, f: _Family, n: int, x: float, precision: PrecisionConfig) -> float:
     """The form from its (n+1)x(n+1) determinant: n rows of Gamma ratios
     Gamma(base+i+j)/Gamma(base+i) over one row (gap/scale)^j w_{order+j}(x),
     divided by prod_{k<n} k! and multiplied by c_n for P_n.
@@ -280,20 +280,20 @@ def _det_eval(f: _Family, n: int, x: float, precision: PrecisionConfig) -> float
             det /= mpmath.factorial(k)
         if f.c_lead:
             det *= normalization_c(p, n).value.mpf(bits)
-        return float(det)
+        return _to_double(label, det, n, x)
 
 
 def q_eval_determinant(p: Params, n: int, x: float,
                        precision: PrecisionConfig = DOUBLE) -> float:
     """Q_n(x) from its (n+1)x(n+1) determinant representation."""
-    return _det_eval(_q_family(p), n, x, precision)
+    return _det_eval("q_eval_determinant", _q_family(p), n, x, precision)
 
 
 def p_eval_determinant(p: Params, n: int, x: float,
                        precision: PrecisionConfig = DOUBLE) -> float:
     """P_n(x) from its determinant representation: Q_n's with the
     second-kind weights and scale gap/b, times c_n."""
-    return _det_eval(_p_family(p), n, x, precision)
+    return _det_eval("p_eval_determinant", _p_family(p), n, x, precision)
 
 
 # ---------------------------------------------------------------------------
@@ -473,21 +473,19 @@ class WeightGrid:
         self.bits = bits
         with mp.workprec(bits + 20):
             self._xs_mp = [mp.mpf(x) for x in xs]
-        self._tables = {}
+        self._ladders = {}
 
     def _values_mp(self, f: _Family, n: int) -> list:
-        """The family's form at every node, from tab[j][k] = w_{order+j}(xs[k])."""
+        """The family's form at every node: one exact dot product of the
+        coefficients with the node's order ladder, as _expansion_mp forms it."""
         if n > self.jmax:
             raise CapExceeded("grid built for smaller jmax")
-        if f.kappa not in self._tables:
-            # one order ladder per node, columns transposed to tab[j][k]
-            self._tables[f.kappa] = list(zip(*(f.ladder_mp(f.order, f.scale, x, self.jmax,
-                                                           self.bits) for x in self._xs_mp)))
-        tab = self._tables[f.kappa]
+        if f.kappa not in self._ladders:
+            self._ladders[f.kappa] = [f.ladder_mp(f.order, f.scale, x, self.jmax, self.bits)
+                                      for x in self._xs_mp]
         with mp.workprec(self.bits):
             coeffs = _coeffs_mp(f, n)
-            return [mpmath.fsum(coeffs[j] * tab[j][k] for j in range(n + 1))
-                    for k in range(len(self.xs))]
+            return [mp.fdot(coeffs, ladder) for ladder in self._ladders[f.kappa]]
 
     def q_values_mp(self, n: int) -> list:
         return self._values_mp(_q_family(self.params), n)

@@ -29,6 +29,12 @@ class RecurrenceCoeffs:
     am1: float
     am2: float
 
+    def at(self, i: int) -> float:
+        """The coefficient of f_{n+i}, for i = -2..2."""
+        if not -2 <= i <= 2:
+            raise DomainError(f"the recurrence has no shift {i}")
+        return (self.am2, self.am1, self.a0, self.a1, self.a2)[i + 2]
+
 
 def q_recurrence_coeffs(p: Params, n: int) -> RecurrenceCoeffs:
     """Closed-form coefficients of the Q recurrence at index n.
@@ -60,10 +66,7 @@ def p_recurrence_coeffs(p: Params, n: int) -> RecurrenceCoeffs:
         raise DomainError("recurrence index must be >= 0")
 
     def a(i: int, m: int) -> float:
-        if m < 0:
-            return 0.0
-        c = q_recurrence_coeffs(p, m)
-        return {2: c.a2, 1: c.a1, 0: c.a0, -1: c.am1, -2: c.am2}[i]
+        return q_recurrence_coeffs(p, m).at(i) if m >= 0 else 0.0
 
     return RecurrenceCoeffs(
         n,
@@ -91,15 +94,12 @@ def _forward(evaluate, coeffs, name: str, p: Params, n_max: int, x: float,
     warned = False
     for n in range(n_max - 1):
         c = coeffs(p, n)
-        rhs_terms = [x * vals[n], -c.a1 * vals[n + 1], -c.a0 * vals[n]]
-        if n >= 1:
-            rhs_terms.append(-c.am1 * vals[n - 1])
-        if n >= 2:
-            rhs_terms.append(-c.am2 * vals[n - 2])
-        nxt = math.fsum(rhs_terms) / c.a2
+        rhs_terms = [x * vals[n]] + [-c.at(i) * vals[n + i] for i in range(1, -3, -1)
+                                     if n + i >= 0]
+        nxt = math.fsum(rhs_terms) / c.at(2)
         scale = max(abs(t) for t in rhs_terms)
         if abs(nxt) > 0:
-            growth *= max(1.0, scale * (1.0 / c.a2) / abs(nxt))
+            growth *= max(1.0, scale * (1.0 / c.at(2)) / abs(nxt))
         if growth > _GROWTH_LIMIT and not warned:
             warnings.warn(f"forward recurrence growth factor {growth:.2e} at n={n + 2}",
                           PrecisionLossWarning)
@@ -130,8 +130,7 @@ def _residual(evaluate, coeffs, p: Params, n: int, x: float,
     c = coeffs(p, n)
     vals = {k: (evaluate(p, k, x, precision) if k >= 0 else 0.0)
             for k in range(n - 2, n + 3)}
-    terms = [c.a2 * vals[n + 2], c.a1 * vals[n + 1], c.a0 * vals[n],
-             c.am1 * vals[n - 1], c.am2 * vals[n - 2]]
+    terms = [c.at(i) * vals[n + i] for i in range(2, -3, -1)]
     lhs = x * vals[n]
     scale = max(abs(lhs), max(abs(t) for t in terms))
     return abs(lhs - math.fsum(terms)) / scale

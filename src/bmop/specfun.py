@@ -20,9 +20,9 @@ fixed point, on Python ints scaled by 2^wp (mpmath.libmp.to_fixed in,
 from_man_exp out), since a term in pure-Python mpf arithmetic costs several
 times more; only starting values and prefactors are formed in mpf.  The
 large-z expansions of both families share one such summation.  Every
-shifted order comes from one besselk_mp or besseli_mp pair by the
-recurrence, run in each family's stable direction (omega_ladder_mp,
-rho_ladder_mp).
+shifted weight comes from one besselk_mp or besseli_mp pair, times one power
+of x, by the weights' own three-term recurrence, run in each family's stable
+direction (omega_ladder_mp, rho_ladder_mp).
 """
 
 from __future__ import annotations
@@ -332,43 +332,37 @@ def besseli_mp(nu, z, bits: int = 200):
 
 # Order ladders: one Bessel pair per point, the other orders by the
 # three-term recurrence in its stable direction (W. Gautschi, SIAM Rev. 9
-# (1967) 24-82): downward for I, upward for K.  Both work at bits + 20.
+# (1967) 24-82): downward for I, upward for K.  The recurrence runs on the
+# weights themselves, whose terms are all positive:
+#   omega_{mu+j} = (omega_{mu+j+2} + ((mu+j+1)/a) omega_{mu+j+1}) / x,
+#   rho_{nu+j} = x rho_{nu+j-2} + ((nu+j-1)/b) rho_{nu+j-1},
+# so the starting pair takes the only power of x, x^(order/2) and that times
+# sqrt(x).  Both work at bits + 20.
 
 def omega_ladder_mp(mu, a, x, jmax: int, bits: int = 200) -> list:
-    """[omega_{mu+j,a}(x) for j = 0..jmax] as mpfs, from I at the top pair."""
+    """[omega_{mu+j,a}(x) for j = 0..jmax] as mpfs, down from I at the top pair."""
     with mp.workprec(bits + 20):
-        x = mp.mpf(x)
-        mu = mp.mpf(mu)
+        x, mu, a = mp.mpf(x), mp.mpf(mu), mp.mpf(a)
         s = mpmath.sqrt(x)
-        z = 2 * a * s
-        ladder = [mp.mpf(0)] * (jmax + 2)
-        ladder[jmax], ladder[jmax + 1] = besseli_mp(mu + jmax, z, bits + 20)
+        i0, i1 = besseli_mp(mu + jmax, 2 * a * s, bits + 20)
+        pw = x ** ((mu + jmax) / 2)
+        ladder = [mp.mpf(0)] * jmax + [pw * i0, pw * s * i1]
         for j in range(jmax - 1, -1, -1):
-            ladder[j] = ladder[j + 2] + 2 * (mu + j + 1) / z * ladder[j + 1]
-        return _times_powers(ladder, mu, x, s, jmax)
+            ladder[j] = (ladder[j + 2] + (mu + (j + 1)) / a * ladder[j + 1]) / x
+        return ladder[:jmax + 1]
 
 
 def rho_ladder_mp(nu, b, x, jmax: int, bits: int = 200) -> list:
-    """[rho_{nu+j,b}(x) for j = 0..jmax] as mpfs, from K at the base pair."""
+    """[rho_{nu+j,b}(x) for j = 0..jmax] as mpfs, up from K at the base pair."""
     with mp.workprec(bits + 20):
-        x = mp.mpf(x)
-        nu = mp.mpf(nu)
+        x, nu, b = mp.mpf(x), mp.mpf(nu), mp.mpf(b)
         s = mpmath.sqrt(x)
-        z = 2 * b * s
-        ladder = list(besselk_mp(nu, z, bits + 20))
+        k0, k1 = besselk_mp(nu, 2 * b * s, bits + 20)
+        pw = x ** (nu / 2)
+        ladder = [pw * k0, pw * s * k1]
         for j in range(2, jmax + 1):
-            ladder.append(ladder[j - 2] + 2 * (nu + j - 1) / z * ladder[j - 1])
-        return _times_powers(ladder, nu, x, s, jmax)
-
-
-def _times_powers(ladder, order, x, s, jmax: int) -> list:
-    """[x^((order+j)/2) ladder[j] for j = 0..jmax], where s = sqrt(x)."""
-    out = []
-    pw = x ** (order / 2)
-    for j in range(jmax + 1):
-        out.append(pw * ladder[j])
-        pw *= s
-    return out
+            ladder.append(x * ladder[j - 2] + (nu + (j - 1)) / b * ladder[j - 1])
+        return ladder[:jmax + 1]
 
 
 def hyp_terminating(numerator, denominator, z: float) -> float:

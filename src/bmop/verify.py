@@ -145,16 +145,10 @@ def suite_recurrence(p: Params, n_max: int = 12) -> SuiteReport:
     for n in range(n_max + 1):
         bc = recurrence.p_recurrence_coeffs(p, n)
         # b_{j,n} = a_{-j, n+j}; negative shifted index means coefficient 0
-        for val, j in ((bc.a2, 2), (bc.a1, 1), (bc.a0, 0),
-                       (bc.am1, -1), (bc.am2, -2)):
+        for j in range(2, -3, -1):
             m = n + j
-            if m < 0:
-                ref = 0.0
-            else:
-                qc = recurrence.q_recurrence_coeffs(p, m)
-                ref = {-2: qc.am2, -1: qc.am1, 0: qc.a0,
-                       1: qc.a1, 2: qc.a2}[-j]
-            duality.append(abs(val - ref))
+            ref = recurrence.q_recurrence_coeffs(p, m).at(-j) if m >= 0 else 0.0
+            duality.append(abs(bc.at(j) - ref))
     worst_i = _integral_identity_error(p)
     return SuiteReport("recurrence", [
         CheckResult("q_residual", _worst(errs_q), 1e-9),
@@ -170,9 +164,8 @@ def _integral_identity_error(p: Params, n_cap: int = 6) -> float:
     errs = []
     for n in range(n_cap + 1):
         c = recurrence.q_recurrence_coeffs(p, n)
-        refs = {2: c.a2, 1: c.a1, 0: c.a0, -1: c.am1, -2: c.am2}
-        for i, ref in refs.items():
-            m = n + i
+        for i in range(2, -3, -1):
+            m, ref = n + i, c.at(i)
             if m < 0 or ref == 0.0:
                 continue
             errs.append(_rel(float(rule.integral(n, m, 1)), ref))
@@ -242,12 +235,12 @@ def suite_limits(p: Params) -> SuiteReport:
     lims = [asy.q_limit_large_a(c, mu, nu, n, x) for x in xs]
     scale = _worst(abs(v) for v in lims)
     errs = []
+    bits = _EXT.mantissa_bits
     for a in (50.0, 100.0, 200.0):
-        grid = mopoly.WeightGrid(Params(mu, nu, a, a + c), n, [x * x for x in xs],
-                                 bits=_EXT.mantissa_bits)
-        with mp.workprec(_EXT.mantissa_bits):
-            vals = [float(2 * mpmath.sqrt(mp.pi * a) * mpmath.exp(-2 * a * mp.mpf(x)) * q)
-                    for x, q in zip(xs, grid.q_values_mp(n))]
+        f = mopoly._q_family(Params(mu, nu, a, a + c))
+        with mp.workprec(bits):
+            vals = [float(2 * mpmath.sqrt(mp.pi * a) * mpmath.exp(-2 * a * mp.mpf(x))
+                          * mopoly._expansion_mp(f, n, x * x, bits)) for x in xs]
         errs.append(_worst(abs(v - l) / scale for v, l in zip(vals, lims)))
     checks.append(CheckResult("large_a_monotone", _monotone_excess(errs), 0.0))
     checks.append(CheckResult("large_a_final", errs[-1], 1e-2))

@@ -103,16 +103,10 @@ def test_criterion_04_recurrence():
     for _, p in PRESETS:
         for n in range(13):
             bc = recurrence.p_recurrence_coeffs(p, n)
-            for val, j in ((bc.a2, 2), (bc.a1, 1), (bc.a0, 0),
-                           (bc.am1, -1), (bc.am2, -2)):
+            for j in range(2, -3, -1):
                 m = n + j
-                if m < 0:
-                    ref = 0.0
-                else:
-                    qc = recurrence.q_recurrence_coeffs(p, m)
-                    ref = {-2: qc.am2, -1: qc.am1, 0: qc.a0,
-                           1: qc.a1, 2: qc.a2}[-j]
-                worst_dual = max(worst_dual, abs(val - ref))
+                ref = recurrence.q_recurrence_coeffs(p, m).at(-j) if m >= 0 else 0.0
+                worst_dual = max(worst_dual, abs(bc.at(j) - ref))
     worst_int = verify._integral_identity_error(verify.PRESETS["S0"], n_cap=6)
     ok = worst_res <= 1e-9 and worst_dual == 0.0 and worst_int <= 1e-6
     report(4, "5-term recurrence", ok,

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from bmop import mopoly, specfun
 from bmop.errors import DomainError, DoubleOverflow, PrecisionLossWarning
-from bmop.precision import PrecisionConfig
+from bmop.precision import DOUBLE, PrecisionConfig
 from bmop.specfun import Params, omega, rho
 
 EXT = PrecisionConfig(mode="extended", mantissa_bits=300)
@@ -242,6 +242,16 @@ def test_overflow_beyond_double_range_raises():
         mopoly.q_eval(big_a, 2, 4.0)
     with pytest.raises(DoubleOverflow, match="below double range"):
         mopoly.p_eval(big_a, 2, 4.0, EXT)
+
+
+@pytest.mark.parametrize("precision", [DOUBLE, EXT], ids=["double", "extended"])
+def test_determinants_outside_double_range_raise(precision):
+    # the same point: the determinants had rounded Q_2 to -inf and P_2 to -0.0
+    big_a = Params(0.5, 1.5, 200, 201)
+    with pytest.raises(DoubleOverflow, match="q_eval_determinant: .* beyond double range"):
+        mopoly.q_eval_determinant(big_a, 2, 4.0, precision)
+    with pytest.raises(DoubleOverflow, match="p_eval_determinant: .* below double range"):
+        mopoly.p_eval_determinant(big_a, 2, 4.0, precision)
 
 
 @pytest.mark.parametrize("route", [mopoly.q_eval, mopoly.q_eval_series])

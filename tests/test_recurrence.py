@@ -32,16 +32,19 @@ class TestCoefficients:
     def test_duality(self):
         for n in range(10):
             bc = recurrence.p_recurrence_coeffs(P0, n)
-            for val, j in ((bc.a2, 2), (bc.a1, 1), (bc.a0, 0),
-                           (bc.am1, -1), (bc.am2, -2)):
+            for j in range(2, -3, -1):
                 m = n + j
                 if m < 0:
-                    assert val == 0.0
+                    assert bc.at(j) == 0.0
                     continue
-                qc = recurrence.q_recurrence_coeffs(P0, m)
-                ref = {-2: qc.am2, -1: qc.am1, 0: qc.a0,
-                       1: qc.a1, 2: qc.a2}[-j]
-                assert val == ref
+                assert bc.at(j) == recurrence.q_recurrence_coeffs(P0, m).at(-j)
+
+    def test_at_reads_each_shift(self):
+        c = recurrence.q_recurrence_coeffs(P0, 3)
+        assert [c.at(i) for i in range(-2, 3)] == [c.am2, c.am1, c.a0, c.a1, c.a2]
+        for i in (-3, 3):
+            with pytest.raises(DomainError):
+                c.at(i)
 
     def test_b2_closed_form(self):
         # b_{2,n} = (n+1)(n+2)(mu+nu+n+1)(mu+nu+n+2)(b/(b^2-a^2))^2

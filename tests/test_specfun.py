@@ -182,20 +182,20 @@ class TestLadders:
                        st.floats(-1.0, 6.0, exclude_min=True))
 
     @settings(max_examples=30, deadline=None, derandomize=True)
-    @given(kind=st.sampled_from(["I", "K"]), order=orders,
-           z=st.floats(1e-3, 30.0), jmax=st.integers(0, 12),
+    @given(kind=st.sampled_from(["I", "K"]), order=orders, scale=st.floats(0.05, 10.0),
+           x=st.floats(1e-6, 1e4), jmax=st.integers(0, 30),
            bits=st.sampled_from([160, 300]))
-    def test_matches_per_order(self, kind, order, z, jmax, bits):
-        # a = b = 1/2 makes the Bessel argument 2 a sqrt(x) equal to z
-        x = z * z
-        ladder = (omega_ladder_mp if kind == "I" else rho_ladder_mp)(order, 0.5, x, jmax, bits)
+    def test_matches_per_order(self, kind, order, scale, x, jmax, bits):
+        # the recurrences read the scale as (order+j+1)/a and (order+j-1)/b,
+        # so it is drawn apart from the Bessel argument 2 scale sqrt(x)
+        ladder = (omega_ladder_mp if kind == "I" else rho_ladder_mp)(order, scale, x, jmax, bits)
         assert len(ladder) == jmax + 1
         bessel = mpmath.besseli if kind == "I" else mpmath.besselk
         with mp.workprec(bits + 60):
             xm = mp.mpf(x)
             for j, got in enumerate(ladder):
                 v = mp.mpf(order) + j
-                ref = xm ** (v / 2) * bessel(v, mpmath.sqrt(xm))
+                ref = xm ** (v / 2) * bessel(v, 2 * mp.mpf(scale) * mpmath.sqrt(xm))
                 assert abs(got - ref) <= mp.mpf(2) ** (10 - bits) * abs(ref)
 
 

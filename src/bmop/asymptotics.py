@@ -102,7 +102,7 @@ def mehler_heine_scaled_p(p: Params, n: int, x: float) -> float:
     if n < 0 or x <= 0:
         raise DomainError("need n >= 0 and x > 0")
     bits = bits_for(n)
-    val = mopoly._expansion_mp(mopoly._p_family(p), n, x / ((n + 1.0) * p.gap), bits)
+    val, _ = mopoly._expansion_mp(mopoly._p_family(p), n, x / ((n + 1.0) * p.gap), bits)
     with mp.workprec(bits):
         return float((-1) ** n * mp.factorial(n) * mp.mpf(n + 1) ** p.nu * val)
 

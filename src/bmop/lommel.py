@@ -3,7 +3,9 @@
 The order-(base+m) weight of either family is a polynomial combination of
 the order-base and order-(base+1) weights; the two polynomials r_m and s_m
 are Lommel-polynomial relatives generated here from their explicit binomial
-sums, which keeps the construction in finite exact arithmetic.
+sums, which keeps the construction in finite exact arithmetic.  The
+combination cancels near the origin and goes through mopoly's escalation
+rule, as Q_n and P_n do.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ from dataclasses import dataclass
 from mpmath import mp
 
 from .errors import DomainError
-from .mopoly import _horner, _p_family, _q_family
-from .precision import MAX_BITS, bits_for
+from .mopoly import _double_probe, _evaluate, _horner, _p_family, _q_family
+from .precision import LogValue
 from .specfun import Params, pochhammer
 
 
@@ -68,39 +70,20 @@ def _shift_eval(label: str, f, m: int, x: float) -> float:
 
     The reconstruction cancels by a factor that grows like
     Gamma(order+m)^2 / (scale^2 x)^m near the origin, so a fixed double
-    pass cannot hold a uniform tolerance; the double pass here is a
-    cancellation probe and the final digits come from an escalated pass
-    when needed.
+    pass cannot hold a uniform tolerance: the double probe is kept up to a
+    ratio of 1e3.  The escalated pass rebuilds the pair from the mpf order:
+    the double coefficients carry rounding that the sum would amplify.
     """
     if x <= 0:
         raise DomainError(f"{label} requires x > 0")
     pair = shift_pair(f.order, m)
-    scale = f.kappa * f.scale
-    w0, w1 = (f.weight(f.order + k, f.scale, x).value() for k in (0, 1))
-    arg = scale * scale * x
-    t0 = scale ** (-m) * pair.r_at(arg) * w0
-    t1 = scale ** (1 - m) * pair.s_at(arg) * w1
-    total = t0 + t1
-    biggest = max(abs(t0), abs(t1))
-    if biggest == 0.0:
-        return total
-    ratio = biggest / max(abs(total), biggest * 1e-300)
-    if ratio < 1e3:
-        return total
-    return _shift_eval_mp(f, m, x, bits_for(m, ratio))
+    scale = LogValue.from_float(f.kappa * f.scale)
+    arg = f.scale * f.scale * x
+    probe = _double_probe([scale.powi(k - m) * LogValue.from_float(poly(arg))
+                           * f.weight(f.order + k, f.scale, x)
+                           for k, poly in enumerate((pair.r_at, pair.s_at))])
 
-
-def _shift_eval_mp(f, m: int, x: float, bits: int) -> float:
-    """Exact-coefficient reconstruction in mpf, starting at `bits`.
-
-    The pair is rebuilt from the mpf order: the double coefficients carry
-    rounding that the cancelling sum would amplify past any precision.  The
-    double probe's ratio saturates near 1/eps, so each pass measures the
-    cancellation again and is repeated at bits_for(m, ratio) bits while
-    that asks for more; a total that is zero or cancels beyond a double's
-    range doubles the bits, up to bits_for's cap.
-    """
-    while True:
+    def run(bits):
         with mp.workprec(bits):
             order = mp.mpf(f.order)
             pair = shift_pair(order, m)
@@ -110,12 +93,9 @@ def _shift_eval_mp(f, m: int, x: float, bits: int) -> float:
             w0, w1 = f.ladder_mp(order, f.scale, xm, 1, bits)
             t0 = sc ** (-m) * _horner(pair.r_poly, arg) * w0
             t1 = sc ** (1 - m) * _horner(pair.s_poly, arg) * w1
-            total = t0 + t1
-            ratio = float(max(abs(t0), abs(t1)) / abs(total)) if total else math.inf
-        need = bits_for(m, ratio) if math.isfinite(ratio) else min(2 * bits, MAX_BITS)
-        if need <= bits:
-            return float(total)
-        bits = need
+            return t0 + t1, max(abs(t0), abs(t1))
+
+    return _evaluate(label, m, x, probe, run, 1e3, stacklevel=3)
 
 
 def omega_shift_eval(p: Params, m: int, x: float) -> float:

@@ -15,10 +15,9 @@ the order ladder.  Each route (coefficients, expansion, determinant,
 polynomial pair, weight table) has one implementation over the record, and
 the q_/p_, a_/b_ names are thin entry points to it.
 
-Alternating coefficient sums cancel near the zeros of the forms: a double
-pass escalates to extended precision when its max-term/result ratio exceeds
-1e5, when the value leaves double range, or for n > 30.  Every bit count
-this module chooses comes from precision.bits_for.
+Alternating sums cancel near the zeros of the forms: _evaluate is the one
+double-then-extended rule, for the expansions, the Q series and lommel's
+shifts.  Every bit count this module chooses comes from precision.bits_for.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from mpmath import mp
 
 from .errors import (BmopError, CapExceeded, DomainError, DoubleOverflow, NonConvergence,
                      PrecisionLossWarning)
-from .precision import DOUBLE, LogValue, PrecisionConfig, bits_for, logsum
+from .precision import DOUBLE, MAX_BITS, LogValue, PrecisionConfig, bits_for
 from . import specfun
 from .specfun import Params, log_gamma, omega, pochhammer, rho
 
@@ -44,6 +43,7 @@ from .specfun import Params, log_gamma, omega, pochhammer, rho
 _ESCALATION_RATIO = 1e5
 _ESCALATION_DEGREE = 30
 _LOG_DOUBLE_MAX = math.log(sys.float_info.max)
+_DOUBLE_MIN = sys.float_info.min
 
 
 # ---------------------------------------------------------------------------
@@ -148,21 +148,6 @@ def normalization_c(p: Params, n: int) -> NormalizationC:
 # ---------------------------------------------------------------------------
 # direct evaluation with automatic precision escalation
 
-def _escalation(label: str, n: int, ratio: float, in_range: bool, stacklevel: int):
-    """Bits for the extended pass after a double pass, or None to keep it; warns with the cause."""
-    if n > _ESCALATION_DEGREE:
-        cause = f"degree above {_ESCALATION_DEGREE}"
-    elif not in_range:
-        cause = "value outside double range"
-    elif not ratio <= _ESCALATION_RATIO:
-        cause = f"cancellation ratio {ratio:.2e}"
-    else:
-        return None
-    warnings.warn(f"{label}: {cause} at n={n}; escalating to extended precision",
-                  PrecisionLossWarning, stacklevel=stacklevel + 1)
-    return bits_for(n, ratio)
-
-
 def _to_double(label: str, value, n: int, x: float) -> float:
     """An extended result as a float; DoubleOverflow when it rounds to inf,
     or to 0.0 from a nonzero value."""
@@ -174,36 +159,75 @@ def _to_double(label: str, value, n: int, x: float) -> float:
     return out
 
 
-def _expansion_mp(f: _Family, n: int, x: float, bits: int):
-    """sum_j c_j w_{order+j}(x) as an mpf: one order ladder at `bits`."""
+def _double_probe(terms: list) -> tuple:
+    """(sum, largest |term| / |sum|, in_range) of LogValue terms, summed
+    relative to the largest.  in_range says the sum is a normal double; a
+    sum that rounds to 0.0 or a subnormal has no digits left to measure."""
+    terms = [t for t in terms if t.sign != 0]
+    top = max((t.log_magnitude for t in terms), default=-math.inf)
+    if top > _LOG_DOUBLE_MAX:
+        return math.inf, math.inf, False
+    rel = math.fsum(t.sign * math.exp(t.log_magnitude - top) for t in terms)
+    total = rel * math.exp(top)
+    return total, 1.0 / abs(rel) if rel else math.inf, _DOUBLE_MIN <= abs(total) < math.inf
+
+
+def _evaluate(label: str, n: int, x: float, probe, run: Callable, limit: float,
+              stacklevel: int) -> float:
+    """A cancelling sum as a double.  `probe` is the int bits asked for (one
+    pass), or the double pass's (value, ratio, in_range), kept when n <= 30,
+    in_range and ratio <= `limit`.  Otherwise a PrecisionLossWarning names
+    the cause and run(bits) -> (mpf value, largest |term|) goes at
+    bits_for(n, ratio), then again while its own ratio asks for more bits
+    (a probe's saturates near 1/eps; a zero value doubles them)."""
+    if isinstance(probe, int):
+        return _to_double(label, run(probe)[0], n, x)
+    total, ratio, in_range = probe
+    if n > _ESCALATION_DEGREE:
+        cause = f"degree above {_ESCALATION_DEGREE}"
+    elif not in_range:
+        cause = "value outside double range"
+    elif not ratio <= limit:
+        cause = f"cancellation ratio {ratio:.2e}"
+    else:
+        return total
+    warnings.warn(f"{label}: {cause} at n={n}; escalating to extended precision",
+                  PrecisionLossWarning, stacklevel=stacklevel + 1)
+    bits = bits_for(n, ratio)
+    while True:
+        value, biggest = run(bits)
+        ratio = float(biggest / abs(value)) if value else math.inf
+        need = bits_for(n, ratio) if math.isfinite(ratio) else min(2 * bits, MAX_BITS)
+        if need <= bits:
+            return _to_double(label, value, n, x)
+        bits = need
+
+
+def _expansion_mp(f: _Family, n: int, x: float, bits: int) -> tuple:
+    """(sum_j c_j w_{order+j}(x), largest |term|) as mpfs: one order ladder at `bits`."""
     with mp.workprec(bits):
-        return mp.fdot(_coeffs_mp(f, n), f.ladder_mp(f.order, f.scale, x, n, bits))
+        coeffs = _coeffs_mp(f, n)
+        ladder = f.ladder_mp(f.order, f.scale, x, n, bits)
+        return mp.fdot(coeffs, ladder), max(abs(c * w) for c, w in zip(coeffs, ladder))
 
 
 def _expansion_eval(label: str, f: _Family, n: int, x: float,
                     precision: PrecisionConfig) -> float:
     """sum_j c_j w_{order+j}(x): a double pass over the coefficient logs, or
-    one order ladder in extended precision when that is asked for, n > 30,
-    the value leaves double range or the terms cancel."""
+    one order ladder in extended precision when that is asked for or the
+    double pass escalates."""
     if x <= 0:
         raise DomainError(f"{label} requires x > 0")
     if n < 0:
         raise DomainError("n must be >= 0")
     if precision.extended:
-        bits = precision.mantissa_bits
+        probe = precision.mantissa_bits
     else:
-        terms = ([c * f.weight(f.order + j, f.scale, x) for j, c in enumerate(_coeff_logs(f, n))]
-                 if n <= _ESCALATION_DEGREE else [])
-        top = max((t.log_magnitude for t in terms if t.sign != 0), default=-math.inf)
-        if top > _LOG_DOUBLE_MAX:  # a term beyond double range
-            total = ratio = math.inf
-        else:
-            total = logsum(terms)
-            ratio = math.inf if total == 0.0 else math.exp(top) / abs(total)
-        bits = _escalation(label, n, ratio, total != 0.0 and math.isfinite(total), stacklevel=3)
-        if bits is None:
-            return total
-    return _to_double(label, _expansion_mp(f, n, x, bits), n, x)
+        probe = _double_probe([c * f.weight(f.order + j, f.scale, x)
+                               for j, c in enumerate(_coeff_logs(f, n))]
+                              if n <= _ESCALATION_DEGREE else [])
+    return _evaluate(label, n, x, probe, lambda bits: _expansion_mp(f, n, x, bits),
+                     _ESCALATION_RATIO, stacklevel=3)
 
 
 def q_eval(p: Params, n: int, x: float, precision: PrecisionConfig = DOUBLE) -> float:
@@ -253,8 +277,8 @@ def _det_eval(label: str, f: _Family, n: int, x: float, precision: PrecisionConf
     Gamma(base+i+j)/Gamma(base+i) over one row (gap/scale)^j w_{order+j}(x),
     divided by prod_{k<n} k! and multiplied by c_n for P_n.
 
-    Each Gamma row is pre-scaled by its leading entry to tame the dynamic
-    range; elimination runs in extended precision regardless of mode.
+    Each Gamma row, divided by its leading entry to tame the dynamic range,
+    is the rising product (base+i)_j; elimination runs in extended precision.
     """
     cap = 30 if precision.extended else 10
     if n > cap:
@@ -267,10 +291,10 @@ def _det_eval(label: str, f: _Family, n: int, x: float, precision: PrecisionConf
         order = mp.mpf(f.order)
         base = mp.mpf(p.mu) + p.nu + 1
         scale = mp.mpf(p.gap) / f.scale
-        rows = []
-        for i in range(n):
-            g0 = mpmath.gamma(base + i)
-            rows.append([mpmath.gamma(base + i + j) / g0 for j in range(n + 1)])
+        rows = [[mp.mpf(1)] for _ in range(n)]
+        for i, row in enumerate(rows):
+            for k in range(n):
+                row.append(row[-1] * (base + i + k))
         weights = f.ladder_mp(order, f.scale, x, n, bits)
         rows.append([scale ** j * w for j, w in enumerate(weights)])
         det = _det_full_pivot(rows)
@@ -357,23 +381,23 @@ def q_eval_series(p: Params, n: int, x: float, precision: PrecisionConfig = DOUB
                 - math.lgamma(p.mu + 1.0) - math.lgamma(base))
     pref_sign = (-1) ** n
 
+    def run(bits):
+        with mp.workprec(bits):
+            acc, max_term = _q_series_run(p, n, x, mp.mpf(1), float(10 ** (-mp.dps)))
+            pref = mpmath.exp(mp.mpf(pref_log))
+            return pref_sign * pref * acc, pref * max_term
+
     if precision.extended:
-        bits = precision.mantissa_bits
+        probe = precision.mantissa_bits
     else:
         acc, max_term = _q_series_run(p, n, x, 1.0, 1e-17)
         ratio = math.inf if acc == 0 else max_term / abs(acc)
         # false for a nan or inf sum; max(., 1) also keeps exp(pref_log) finite
         in_range = pref_log + math.log(max(abs(acc), 1.0)) < _LOG_DOUBLE_MAX
         out = pref_sign * math.exp(pref_log) * acc if in_range else math.inf
-        # a nonzero sum that rounds to 0.0 is below double range
-        bits = _escalation("q_eval_series", n, ratio, in_range and (out != 0.0 or acc == 0),
-                           stacklevel=2)
-        if bits is None:
-            return out
-    with mp.workprec(bits):
-        acc, _ = _q_series_run(p, n, x, mp.mpf(1), float(10 ** (-mp.dps)))
-        value = pref_sign * mpmath.exp(mp.mpf(pref_log)) * acc
-    return _to_double("q_eval_series", value, n, x)
+        # a nonzero sum that rounds to 0.0 or a subnormal is below double range
+        probe = (out, ratio, in_range and (abs(out) >= _DOUBLE_MIN or acc == 0))
+    return _evaluate("q_eval_series", n, x, probe, run, _ESCALATION_RATIO, stacklevel=2)
 
 
 # ---------------------------------------------------------------------------
@@ -521,22 +545,24 @@ def sign_change_profile(p: Params, n_max: int, grid_points: int = 3072) -> list:
     """
     xs = np.geomspace(*sign_change_window(p, n_max), grid_points)
     grid = WeightGrid(p, n_max, xs, bits=bits_for(n_max))
-    return [_count_on_grid(grid.q_values(n)) for n in range(n_max + 1)]
+    return [_count_on_grid(grid.q_values_mp(n)) for n in range(n_max + 1)]
 
 
 def count_sign_changes(p: Params, n: int, grid_points: int = 2048) -> int:
     """Number of sign changes of Q_n on (0, inf)."""
     xs = np.geomspace(*sign_change_window(p, n), grid_points)
-    return _count_on_grid(WeightGrid(p, n, xs, bits=bits_for(n)).q_values(n))
+    return _count_on_grid(WeightGrid(p, n, xs, bits=bits_for(n)).q_values_mp(n))
 
 
 def _count_on_grid(vals) -> int:
-    """Sign flips between neighbouring values of a form on its scan grid.
+    """Sign flips between neighbouring mpf values of a form on its scan grid,
+    which keep their signs below double range.
 
     A touching zero makes no flip and is not counted.  A grid value of
     exactly zero would hide whether the form crosses there, so it is
     reported as an error.
     """
-    if np.any(vals == 0.0):
+    signs = [(v > 0) - (v < 0) for v in vals]
+    if 0 in signs:
         raise BmopError("degenerate zero hit exactly on the scan grid")
-    return int(np.count_nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0))
+    return sum(s != t for s, t in zip(signs, signs[1:]))

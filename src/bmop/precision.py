@@ -132,16 +132,3 @@ class LogValue:
             return LogValue.zero() if k > 0 else LogValue(0.0, 1)
         return LogValue(k * self.log_magnitude, self.sign if k % 2 else 1)
 
-
-def logsum(terms) -> float:
-    """Sum of LogValue terms as a float, scaled to dodge overflow.
-
-    Accurate to double rounding relative to the largest term; callers are
-    responsible for detecting cancellation (compare against max term).
-    """
-    terms = [t for t in terms if t.sign != 0]
-    if not terms:
-        return 0.0
-    m = max(t.log_magnitude for t in terms)
-    s = math.fsum(t.sign * math.exp(t.log_magnitude - m) for t in terms)
-    return s * math.exp(m)

@@ -217,7 +217,7 @@ def _besselk_temme(mu, z, bits: int):
     multiply-divides of Python ints.  Below z = 2 the scale gains log2(2/z)
     bits: the sum for K_{mu+1}, about (z/2)^-mu, falls below 1 for mu < 0.
     """
-    guard = 2 * float(z) / math.log(2.0) + 20 + (math.log2(1 / abs(mu)) if mu else 0)
+    guard = 2 * float(z) / math.log(2.0) + 20 - (math.log2(abs(mu)) if mu else 0)
     with mp.workprec(bits + int(guard)):
         z, mu = mp.mpf(z), mp.mpf(mu)
         rg_minus, rg_plus = mpmath.rgamma(1 - mu), mpmath.rgamma(1 + mu)

@@ -1,4 +1,5 @@
-"""Every name a library module imports is read somewhere in that module."""
+"""Structural checks on the library's source: every imported name is read,
+every private name is used, and one helper owns the precision escalation."""
 
 import ast
 from pathlib import Path
@@ -55,3 +56,47 @@ def test_no_unread_private_names():
     read = set().union(*map(_reads, trees))
     defined = set().union(*map(_private_definitions, trees))
     assert sorted(defined - read) == []
+
+
+def _called_name(call: ast.Call):
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def _announces_escalation(call: ast.Call) -> bool:
+    """A warn call with PrecisionLossWarning and a message that says it escalates."""
+    inner = list(ast.walk(call))
+    return (_called_name(call) == "warn"
+            and any(isinstance(n, ast.Name) and n.id == "PrecisionLossWarning" for n in inner)
+            and any(isinstance(n, ast.Constant) and isinstance(n.value, str)
+                    and "escalat" in n.value for n in inner))
+
+
+def _escalation_sites(tree: ast.Module) -> set:
+    """(function, call) for each bits_for call with a measured ratio and each
+    warning that announces an escalation, by innermost enclosing function."""
+    sites = set()
+
+    def visit(node, fn):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                if _called_name(child) == "bits_for" and (
+                        len(child.args) > 1 or any(k.arg == "ratio" for k in child.keywords)):
+                    sites.add((fn, "bits_for"))
+                elif _announces_escalation(child):
+                    sites.add((fn, "warn"))
+            visit(child, fn)
+
+    visit(tree, None)
+    return sites
+
+
+def test_one_escalation_helper():
+    # the expansions, the series and the shifts escalate through one rule;
+    # a second copy of the decision or the warning would drift from it
+    sites = {(f.name,) + site for f in MODULES
+             for site in _escalation_sites(ast.parse(f.read_text()))}
+    assert sites == {("mopoly.py", "_evaluate", "bits_for"), ("mopoly.py", "_evaluate", "warn")}

@@ -1,9 +1,14 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 from bmop import lommel
-from bmop.errors import DomainError
+from bmop.errors import DomainError, DoubleOverflow, PrecisionLossWarning
 from bmop.precision import PrecisionConfig
 from bmop.specfun import Params, omega, omega_mp, rho, rho_mp
 
@@ -112,3 +117,30 @@ class TestReconstruction:
             lommel.omega_shift_eval(P0, 2, 0.0)
         with pytest.raises(DomainError):
             lommel.rho_shift_eval(P0, 2, -1.0)
+
+
+def _order(lo, hi):
+    # an order in (lo, hi]; integer orders are drawn as often as generic ones
+    return st.one_of(st.integers(math.floor(lo) + 1, math.floor(hi)).map(float),
+                     st.floats(lo, hi, exclude_min=True))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(mu=_order(-1.0, 3.0), nu=_order(0.0, 6.0), a=st.floats(0.05, 5.0),
+       ratio=st.floats(1.0, 3.0, exclude_min=True), m=st.integers(0, 24),
+       log_x=st.floats(math.log(1e-3), math.log(50.0)))
+def test_shifts_match_600_bits_or_raise(mu, nu, a, ratio, m, log_x):
+    # each shift is within 1e-9 of the 600-bit weight, or raises
+    # DoubleOverflow exactly when that weight does not fit a double
+    p = Params(mu, nu, a, a * ratio)
+    x = math.exp(log_x)
+    for shift, weight, order, scale in ((lommel.omega_shift_eval, omega_mp, mu, p.a),
+                                        (lommel.rho_shift_eval, rho_mp, nu, p.b)):
+        ref = float(weight(mp.mpf(order) + m, scale, x, 600))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", PrecisionLossWarning)
+            if 0.0 < ref < math.inf:
+                assert shift(p, m, x) == pytest.approx(ref, rel=1e-9, abs=0)
+            else:
+                with pytest.raises(DoubleOverflow):
+                    shift(p, m, x)

@@ -7,8 +7,8 @@ import scipy.special as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bmop import mopoly, specfun
-from bmop.errors import DomainError, DoubleOverflow, PrecisionLossWarning
+from bmop import lommel, mopoly, specfun
+from bmop.errors import BmopError, DomainError, DoubleOverflow, PrecisionLossWarning
 from bmop.precision import DOUBLE, PrecisionConfig
 from bmop.specfun import Params, omega, rho
 
@@ -148,6 +148,13 @@ class TestSignChanges:
     def test_profile_matches(self):
         assert mopoly.sign_change_profile(P1, 5) == [0, 1, 2, 3, 4, 5]
 
+    def test_signs_read_below_double_range(self):
+        # Q_3 at the window's left end is 1.4e-434, 0.0 as a double; the
+        # signs come from the mpf values, and only an exact zero raises
+        assert mopoly.sign_change_profile(Params(100, 1, 1, 2), 3, grid_points=512) == [0, 1, 2, 3]
+        with pytest.raises(BmopError, match="degenerate zero"):
+            mopoly._count_on_grid([mpmath.mpf(1), mpmath.mpf(0), mpmath.mpf(-1)])
+
     def test_counting_needs_no_second_kind_table(self, monkeypatch):
         # Q_n reads only the first-kind weights, so the K table stays unbuilt
         def fail(*args, **kwargs):
@@ -254,15 +261,30 @@ def test_determinants_outside_double_range_raise(precision):
         mopoly.p_eval_determinant(big_a, 2, 4.0, precision)
 
 
-@pytest.mark.parametrize("route", [mopoly.q_eval, mopoly.q_eval_series])
-def test_underflow_below_double_range_raises(route):
-    # Q_1(1e-120) at mu = 3 is 9.2e-361: nonzero in mpf, 0.0 as a double
-    p = Params(3.0, 1.5, 1.0, 2.0)
-    with pytest.raises(DoubleOverflow, match="below double range"):
-        route(p, 1, 1e-120, EXT)
+MU3 = Params(3.0, 1.5, 1.0, 2.0)
+
+
+# Q_1(1e-120) at mu = 3 is 9.2e-361: nonzero in mpf, 0.0 as a double.  On
+# S0 the shifts omega_{mu+12}(1e-30), omega_{mu+5}(1e-200) and
+# rho_{nu+3}(1e6) are 5.8e-385, 3.5e-1103 and 4.2e-1726, and
+# omega_{mu+3}(3e5) is 2.6e483; their double probes had read 0.0 or
+# overflowed in math.exp
+@pytest.mark.parametrize("route,p,n,x,where", [
+    (mopoly.q_eval, MU3, 1, 1e-120, "below"),
+    (mopoly.q_eval_series, MU3, 1, 1e-120, "below"),
+    (lommel.omega_shift_eval, P0, 12, 1e-30, "below"),
+    (lommel.omega_shift_eval, P0, 5, 1e-200, "below"),
+    (lommel.rho_shift_eval, P0, 3, 1e6, "below"),
+    (lommel.omega_shift_eval, P0, 3, 3e5, "beyond"),
+], ids=["q_eval", "q_eval_series", "omega_shift_m12", "omega_shift_m5", "rho_shift_m3",
+        "omega_shift_beyond"])
+def test_underflow_below_double_range_raises(route, p, n, x, where):
+    if route in (mopoly.q_eval, mopoly.q_eval_series):
+        with pytest.raises(DoubleOverflow, match="below double range"):
+            route(p, n, x, EXT)
     with pytest.warns(PrecisionLossWarning, match="double range"), \
-            pytest.raises(DoubleOverflow, match="below double range"):
-        route(p, 1, 1e-120)
+            pytest.raises(DoubleOverflow, match=f"{route.__name__}: .* {where} double range"):
+        route(p, n, x)
 
 
 def test_escalation_names_its_cause():
@@ -275,6 +297,10 @@ def test_escalation_names_its_cause():
         assert mopoly.q_eval(P0, 31, 2.0) == pytest.approx(mopoly.q_eval(P0, 31, 2.0, EXT))
     with pytest.warns(PrecisionLossWarning, match="q_eval_series: degree above 30"):
         mopoly.q_eval_series(P0, 31, 2.0)
+    # the shifts escalate through the same rule and say so
+    with pytest.warns(PrecisionLossWarning,
+                      match="omega_shift_eval: cancellation ratio .* at n=12; escalating"):
+        lommel.omega_shift_eval(Params(-0.6, 0.4, 1e-3, 0.05), 12, 1.0)
 
 
 def test_series_stops_past_its_peak():

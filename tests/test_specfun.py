@@ -88,9 +88,10 @@ class TestBesselkMp:
     def test_integer_orders(self, n, z):
         self.check_pair(n, z)
 
-    # half-integer, generic, near-integer, near-half and negative orders
+    # half-integer, generic, near-integer, near-half and negative orders;
+    # at 5e-324, log2(1/nu) in Temme's guard bits had overflowed
     @pytest.mark.parametrize("nu", [0.5, 1.5, 2.5, -0.5, 0.3, 7.3, 1e-9, 1 + 1e-12,
-                                    0.5000001, 2.4999, -0.3, -0.7, -0.9999, -2.3])
+                                    0.5000001, 2.4999, -0.3, -0.7, -0.9999, -2.3, 5e-324])
     @pytest.mark.parametrize("z", zs)
     def test_non_integer_orders(self, nu, z):
         self.check_pair(nu, z)

@@ -18,6 +18,17 @@ the q_/p_, a_/b_ names are thin entry points to it.
 Alternating sums cancel near the zeros of the forms: _evaluate is the one
 double-then-extended rule, for the expansions, the Q series and lommel's
 shifts.  Every bit count this module chooses comes from precision.bits_for.
+
+At high degree the two oracles' inner loops are most of the cost, and an
+operation on mpf objects costs several times the arithmetic it does, so
+neither loop uses them.  The determinant's elimination works on the raw
+mpf tuples with mpmath.libmp calls, with the same pivots and the same
+rounding as mpf arithmetic, so its value is unchanged to the bit.  The Q
+series' extended pass sums in fixed point, on Python ints scaled by 2^wp,
+as specfun's Bessel series do: a term is one multiply and one divide of
+ints, and the truncations cost guard bits, not rounding to the working
+precision.  The expansion coefficients carry a rising product along j, so
+they take no Gamma value per coefficient.
 """
 
 from __future__ import annotations
@@ -31,6 +42,8 @@ from typing import Callable
 import mpmath
 import numpy as np
 from mpmath import mp
+from mpmath.libmp import (fone, from_man_exp, fzero, mpf_abs, mpf_cmp, mpf_mul, mpf_neg,
+                          mpf_rdiv_int, mpf_sub, round_nearest, to_fixed)
 
 from .errors import (BmopError, CapExceeded, DomainError, DoubleOverflow, NonConvergence,
                      PrecisionLossWarning)
@@ -115,17 +128,28 @@ def _coeff_logs(f: _Family, n: int) -> list[LogValue]:
 
 
 def _coeffs_mp(f: _Family, n: int) -> list:
-    """The same coefficients as mpfs at the working precision."""
+    """The same coefficients as mpfs at the working precision, formed as
+    top ratio^j C(n,j) / (base)_j with the rising product carried along j:
+    Gamma(base+j) = Gamma(base) (base)_j, so top is (base)_n for Q_n and
+    c_n Gamma(base+n) / Gamma(base) for P_n, and no Gamma value depends on j."""
     p = f.params
     base = mp.mpf(p.mu) + mp.mpf(p.nu) + 1
     gap = mp.mpf(p.b) ** 2 - mp.mpf(p.a) ** 2
+    rising = [mp.mpf(1)]
+    for j in range(n):
+        rising.append(rising[-1] * (base + j))
     if f.c_lead:
-        top = 2 * gap ** base / (mp.mpf(p.a) ** p.mu * mp.mpf(p.b) ** p.nu * mpmath.factorial(n))
+        top = 2 * gap ** base / (mp.mpf(p.a) ** p.mu * mp.mpf(p.b) ** p.nu * mpmath.factorial(n)
+                                 * mpmath.gamma(base))
     else:
-        top = mpmath.gamma(base + n)
+        top = rising[n]
     ratio = -gap / f.scale
-    return [(-1) ** n * mp.mpf(math.comb(n, j)) * top * ratio ** j / mpmath.gamma(base + j)
-            for j in range(n + 1)]
+    out = []
+    power = (-1) ** n * top
+    for j, r in enumerate(rising):
+        out.append(power * math.comb(n, j) / r)
+        power *= ratio
+    return out
 
 
 def q_coeffs(p: Params, n: int) -> Expansion:
@@ -161,15 +185,19 @@ def _to_double(label: str, value, n: int, x: float) -> float:
 
 def _double_probe(terms: list) -> tuple:
     """(sum, largest |term| / |sum|, in_range) of LogValue terms, summed
-    relative to the largest.  in_range says the sum is a normal double; a
-    sum that rounds to 0.0 or a subnormal has no digits left to measure."""
+    relative to the largest.  in_range says the sum is a normal double, or
+    has cancelled: a sum that rounds to 0.0 or a subnormal has no digits
+    left to measure, but when the largest term's rounding, 2^-53 of it, is
+    still a normal double, the terms cancelled and did not underflow."""
     terms = [t for t in terms if t.sign != 0]
     top = max((t.log_magnitude for t in terms), default=-math.inf)
     if top > _LOG_DOUBLE_MAX:
         return math.inf, math.inf, False
     rel = math.fsum(t.sign * math.exp(t.log_magnitude - top) for t in terms)
     total = rel * math.exp(top)
-    return total, 1.0 / abs(rel) if rel else math.inf, _DOUBLE_MIN <= abs(total) < math.inf
+    in_range = abs(total) < math.inf and (
+        abs(total) >= _DOUBLE_MIN or math.ldexp(math.exp(top), -53) >= _DOUBLE_MIN)
+    return total, 1.0 / abs(rel) if rel else math.inf, in_range
 
 
 def _evaluate(label: str, n: int, x: float, probe, run: Callable, limit: float,
@@ -187,6 +215,10 @@ def _evaluate(label: str, n: int, x: float, probe, run: Callable, limit: float,
         cause = f"degree above {_ESCALATION_DEGREE}"
     elif not in_range:
         cause = "value outside double range"
+    elif ratio == math.inf:
+        # terms whose rounding is a normal double summed to 0.0: they
+        # cancelled, and the probe cannot tell by how much
+        cause = "cancellation to 0.0 in double, the value perhaps below double range"
     elif not ratio <= limit:
         cause = f"cancellation ratio {ratio:.2e}"
     else:
@@ -244,32 +276,44 @@ def p_eval(p: Params, n: int, x: float, precision: PrecisionConfig = DOUBLE) -> 
 # determinant oracles
 
 def _det_full_pivot(rows):
-    """Determinant by Gaussian elimination with full pivoting (mpmath)."""
-    a = [list(r) for r in rows]
+    """Determinant by Gaussian elimination with full pivoting, at mp.prec.
+
+    The pivot is the first strict maximum of |a_ij| in row-major order.
+    Every step works on the raw mpf tuples with mpmath.libmp, rounding to
+    nearest at mp.prec as mpf arithmetic does, so the value is the one the
+    same steps on mpf objects give; a step costs a libmp call instead of
+    mpf object dispatch."""
+    prec = mp.prec
+    a = [[mp.convert(v)._mpf_ for v in r] for r in rows]
     m = len(a)
-    det = mp.mpf(1)
+    det = fone
     for k in range(m):
-        piv_i, piv_j, piv = k, k, abs(a[k][k])
+        piv_i, piv_j, piv = k, k, mpf_abs(a[k][k])
         for i in range(k, m):
+            row = a[i]
             for j in range(k, m):
-                if abs(a[i][j]) > piv:
-                    piv_i, piv_j, piv = i, j, abs(a[i][j])
-        if piv == 0:
+                v = mpf_abs(row[j])
+                if mpf_cmp(v, piv) > 0:
+                    piv_i, piv_j, piv = i, j, v
+        if piv == fzero:
             return mp.mpf(0)
         if piv_i != k:
             a[k], a[piv_i] = a[piv_i], a[k]
-            det = -det
+            det = mpf_neg(det)
         if piv_j != k:
-            for row in a:
+            for row in a[k:]:
                 row[k], row[piv_j] = row[piv_j], row[k]
-            det = -det
-        det *= a[k][k]
-        inv = 1 / a[k][k]
-        for i in range(k + 1, m):
-            f = a[i][k] * inv
-            for j in range(k, m):
-                a[i][j] -= f * a[k][j]
-    return det
+            det = mpf_neg(det)
+        top = a[k]
+        det = mpf_mul(det, top[k], prec, round_nearest)
+        inv = mpf_rdiv_int(1, top[k], prec, round_nearest)
+        # column k is eliminated and never read again
+        for row in a[k + 1:]:
+            f = mpf_mul(row[k], inv, prec, round_nearest)
+            for j in range(k + 1, m):
+                row[j] = mpf_sub(row[j], mpf_mul(f, top[j], prec, round_nearest),
+                                 prec, round_nearest)
+    return mp.make_mpf(det)
 
 
 def _det_eval(label: str, f: _Family, n: int, x: float, precision: PrecisionConfig) -> float:
@@ -323,44 +367,68 @@ def p_eval_determinant(p: Params, n: int, x: float,
 # ---------------------------------------------------------------------------
 # double-series route for Q_n
 
-def _q_series_terms(p: Params, n: int, x, one):
-    """Yield (outer_factor, inner_sum, inner_abs_sum); arithmetic type set by `one`.
-    Gamma(mu+1) Gamma(mu+nu+1) sits in q_eval_series's log prefactor, so the
-    terms carry no Gamma function and leave double range only as I_mu does."""
-    a2x = one * p.a * p.a * x
-    z = one * p.gap * x
-    mu = one * p.mu
+def _q_series_double(p: Params, n: int, x: float):
+    """Yield (outer term, its bound) of the double series in double: the
+    k-th outer factor times the inner alternating sum over j, and times the
+    sum of the inner terms' magnitudes.  Gamma(mu+1) Gamma(mu+nu+1) sits in
+    q_eval_series's log prefactor, so the terms carry no Gamma function and
+    leave double range only as I_mu does."""
+    a2x = p.a * p.a * x
+    z = p.gap * x
+    mu = p.mu
     base = mu + p.nu + 1
+    outer = 1.0
     k = 0
-    outer = one
     while True:
-        # inner alternating sum over j at fixed k
-        t = s = s_abs = one
+        t = s = s_abs = 1.0
         for j in range(n):
             t = t * (j - n) * z / ((j + 1) * (mu + j + k + 1) * (base + j))
             s += t
             s_abs += abs(t)
-        yield outer, s, s_abs
+        yield outer * s, outer * s_abs
         outer = outer * a2x / ((k + 1) * (mu + k + 1))
         k += 1
 
 
-def _q_series_run(p: Params, n: int, x: float, one, rel_tol: float):
-    """(sum, largest term bound); a double sum stops once it leaves double range."""
-    acc = one * 0
-    max_term = one * 0
-    # the outer sum is (a sqrt x)^-mu I_mu(2 a sqrt x) term by term, whose
-    # largest term sits near k = a sqrt x
-    peak = p.a * math.sqrt(x)
+def _q_series_fixed(p: Params, n: int, x: float, wp: int):
+    """The same terms in fixed point, as ints scaled by 2^wp.  The inner
+    ratio splits into (j-n) z / ((j+1)(base+j)), formed once per j, over
+    mu+j+k+1, so an inner term is one multiply and one divide of ints."""
+    one = 1 << wp
+    with mp.workprec(wp):
+        mu = mp.mpf(p.mu)
+        a2x, z, m, base = (to_fixed(v._mpf_, wp) for v in (
+            mp.mpf(p.a) * p.a * x, mp.mpf(p.gap) * x, mu, mu + p.nu + 1))
+    ratios = [((j - n) * z << wp) // ((j + 1) * (base + j * one)) for j in range(n)]
+    outer = one
+    k = 0
+    while True:
+        t = s = s_abs = one
+        d = m + (k + 1) * one  # mu + j + k + 1 at j = 0
+        for c in ratios:
+            t = t * c // d
+            d += one
+            s += t
+            s_abs += abs(t)
+        yield outer * s >> wp, outer * s_abs >> wp
+        outer = outer * a2x // ((k + 1) * (m + (k + 1) * one))
+        k += 1
+
+
+def _q_series_run(terms, peak: float, small: Callable) -> tuple:
+    """(sum, largest bound) of the outer terms, in their own arithmetic.
+    The sum stops past the largest term, which sits near k = peak, once
+    small(bound, sum, largest bound) holds for three terms in a row; a
+    double sum also stops once it leaves double range."""
+    acc = max_term = 0
     small_streak = 0
-    for k, (outer, s, s_abs) in enumerate(_q_series_terms(p, n, x, one)):
-        acc += outer * s
-        if not mpmath.isfinite(acc):
+    for k, (term, bound) in enumerate(terms):
+        acc += term
+        if not -math.inf < acc < math.inf:
             break
-        bound = outer * s_abs
         if bound > max_term:
             max_term = bound
-        if k > peak and bound < rel_tol * max(abs(acc), max_term * 1e-16):
+        if k > peak and small(bound, acc, max_term):
             small_streak += 1
             if small_streak >= 3:
                 break
@@ -373,24 +441,38 @@ def _q_series_run(p: Params, n: int, x: float, one, rel_tol: float):
 
 def q_eval_series(p: Params, n: int, x: float, precision: PrecisionConfig = DOUBLE) -> float:
     """Q_n(x) from the explicit double series (independent of the Bessel
-    backend; only gamma values enter)."""
+    backend; only gamma values enter).  The double probe sums in double,
+    the extended pass in fixed point."""
     if x <= 0:
         raise DomainError("x must be > 0")
     base = p.mu + p.nu + 1.0
     pref_log = (p.mu * math.log(p.a * x) + log_gamma(base + n).log_magnitude
                 - math.lgamma(p.mu + 1.0) - math.lgamma(base))
     pref_sign = (-1) ** n
+    # the outer sum is (a sqrt x)^-mu I_mu(2 a sqrt x) term by term, whose
+    # largest term sits near k = a sqrt x
+    peak = p.a * math.sqrt(x)
 
     def run(bits):
+        # each truncated int division loses under 2^-wp of the largest
+        # term, and the smallest denominator, mu + 1, keeps only
+        # log2(mu + 1) bits below its own size; 30 guard bits leave 10 bits
+        # above 2^20 divisions
+        wp = bits + 30 + max(0, math.ceil(-math.log2(p.mu + 1.0)))
+        acc, max_term = _q_series_run(
+            _q_series_fixed(p, n, x, wp), peak,
+            lambda bound, acc, top: bound << bits < max(abs(acc), top >> 53))
         with mp.workprec(bits):
-            acc, max_term = _q_series_run(p, n, x, mp.mpf(1), float(10 ** (-mp.dps)))
             pref = mpmath.exp(mp.mpf(pref_log))
+            acc, max_term = (mp.make_mpf(from_man_exp(v, -wp)) for v in (acc, max_term))
             return pref_sign * pref * acc, pref * max_term
 
     if precision.extended:
         probe = precision.mantissa_bits
     else:
-        acc, max_term = _q_series_run(p, n, x, 1.0, 1e-17)
+        acc, max_term = _q_series_run(
+            _q_series_double(p, n, x), peak,
+            lambda bound, acc, top: bound < 1e-17 * max(abs(acc), top * 1e-16))
         ratio = math.inf if acc == 0 else max_term / abs(acc)
         # false for a nan or inf sum; max(., 1) also keeps exp(pref_log) finite
         in_range = pref_log + math.log(max(abs(acc), 1.0)) < _LOG_DOUBLE_MAX
@@ -421,10 +503,18 @@ class PolyPair:
 
     def reconstruct(self, x: float) -> float:
         """Rebuild the linear form from the pair and the two base weights, in
-        double: the coefficients are doubles, so extended weights could not help."""
+        double: the coefficients are doubles, so extended weights could not
+        help.  A PrecisionLossWarning says so when a term exceeds the value
+        by more than the expansions' escalation ratio."""
         f = (_q_family if self.kind == "A" else _p_family)(self.params)
         w0, w1 = (f.weight(f.order + k, f.scale, x).value() for k in (0, 1))
-        return self.eval_first(x) * w0 + self.eval_second(x) * w1
+        t0, t1 = self.eval_first(x) * w0, self.eval_second(x) * w1
+        value = t0 + t1
+        if max(abs(t0), abs(t1)) > _ESCALATION_RATIO * abs(value):
+            warnings.warn(f"reconstruct: the pair's terms cancel by more than "
+                          f"{_ESCALATION_RATIO:.0e} at n={self.n}, x={x}; the pair route is "
+                          f"double-only", PrecisionLossWarning, stacklevel=2)
+        return value
 
 
 def _horner(coeffs, x):

@@ -112,6 +112,16 @@ class TestReconstruction:
                 ref = float(omega_mp(mp.mpf(p.mu) + m, p.a, float(x), 600))
                 assert lommel.omega_shift_eval(p, m, float(x)) == pytest.approx(ref, rel=1e-9)
 
+    def test_exact_cancellation_is_named(self):
+        # at m = 11 the double terms cancel to exactly 0.0, while the value,
+        # 1e-49 to 1e-25, is in double range: the cause is cancellation
+        p = DEEP["small_a"]
+        for x in np.geomspace(0.1, 20.0, 7):
+            with pytest.warns(PrecisionLossWarning,
+                              match="omega_shift_eval: cancellation .*; escalating") as caught:
+                lommel.omega_shift_eval(p, 11, float(x))
+            assert not any("outside double range" in str(w.message) for w in caught)
+
     def test_x_positive_required(self):
         with pytest.raises(DomainError):
             lommel.omega_shift_eval(P0, 2, 0.0)

@@ -1,4 +1,5 @@
 import math
+import random
 import warnings
 
 import mpmath
@@ -6,6 +7,7 @@ import pytest
 import scipy.special as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import mp
 
 from bmop import lommel, mopoly, specfun
 from bmop.errors import BmopError, DomainError, DoubleOverflow, PrecisionLossWarning
@@ -91,6 +93,72 @@ class TestOracles:
                 assert abs(direct - determinant(p, n, x)) <= 1e-10 * scale
 
 
+def _det_on_mpfs(rows):
+    """The same elimination on mpf objects: full pivoting, first strict
+    maximum in row-major order, every step rounded at mp.prec."""
+    a = [[mp.mpf(v) for v in r] for r in rows]
+    m = len(a)
+    det = mp.mpf(1)
+    for k in range(m):
+        piv_i, piv_j, piv = k, k, abs(a[k][k])
+        for i in range(k, m):
+            for j in range(k, m):
+                if abs(a[i][j]) > piv:
+                    piv_i, piv_j, piv = i, j, abs(a[i][j])
+        if piv == 0:
+            return mp.mpf(0)
+        if piv_i != k:
+            a[k], a[piv_i] = a[piv_i], a[k]
+            det = -det
+        if piv_j != k:
+            for row in a:
+                row[k], row[piv_j] = row[piv_j], row[k]
+            det = -det
+        det *= a[k][k]
+        inv = 1 / a[k][k]
+        for i in range(k + 1, m):
+            f = a[i][k] * inv
+            for j in range(k, m):
+                a[i][j] -= f * a[k][j]
+    return det
+
+
+class TestDetFullPivot:
+    def test_row_and_column_swaps_keep_the_sign(self):
+        # the largest entry, 10, sits in the last row and column, so the
+        # first step swaps both; one swap alone flips the sign
+        with mp.workprec(100):
+            got = mopoly._det_full_pivot([[1, 2, 3], [4, 5, 6], [7, 8, 10]])
+            assert abs(got + 3) < 1e-28
+        assert mopoly._det_full_pivot([[0, 1], [1, 0]]) == -1
+        assert mopoly._det_full_pivot([[0, 1, 0], [0, 0, 1], [1, 0, 0]]) == 1
+
+    def test_exactly_singular_returns_zero(self):
+        # every step is exact in binary: the second row eliminates to zeros
+        got = mopoly._det_full_pivot([[8, 4, 2], [4, 2, 1], [1, 1, 1]])
+        assert isinstance(got, mpmath.mpf) and got == 0
+        assert mopoly._det_full_pivot([[0, 0], [0, 0]]) == 0
+
+    def test_ties_take_the_first_maximum_in_row_major_order(self):
+        # entries of equal magnitude at 8 bits, where each pivot choice
+        # rounds differently: the value is the mpf elimination's, bit for bit
+        rng = random.Random(19)
+        with mp.workprec(8):
+            for _ in range(40):
+                rows = [[rng.choice((-3, -1, 1, 3)) for _ in range(5)] for _ in range(5)]
+                assert mopoly._det_full_pivot(rows) == _det_on_mpfs(rows)
+            tied = [[3, -3, 1], [-3, 1, 3], [1, 3, -3]]
+            assert mopoly._det_full_pivot(tied) == _det_on_mpfs(tied)
+
+    def test_well_conditioned_matches_mpmath(self):
+        rng = random.Random(6)
+        with mp.workprec(200):
+            rows = [[mp.mpf(rng.uniform(-1, 1)) + (6 if i == j else 0) for j in range(6)]
+                    for i in range(6)]
+            got, ref = mopoly._det_full_pivot(rows), mpmath.det(mpmath.matrix(rows))
+            assert abs(got - ref) <= mpmath.mpf(2) ** -190 * abs(ref)
+
+
 class TestPolyPairs:
     def test_a1_constants(self):
         # A_{1,1} = -(mu+nu+1), A_{1,2} = (b^2-a^2)/a
@@ -127,6 +195,19 @@ class TestPolyPairs:
                 terms = (abs(pair.eval_first(x) * weight(p, 0, x))
                          + abs(pair.eval_second(x) * weight(p, 1, x)))
                 assert abs(pair.reconstruct(x) - expansion(p, n, x, EXT)) <= 1e-13 * terms
+
+    def test_reconstruct_warns_when_its_terms_cancel(self):
+        # at a = 1e-3 and n = 7 the terms exceed the value by 1e16 and more;
+        # the pair's coefficients are doubles, so the warning is all it can give
+        with pytest.warns(PrecisionLossWarning, match="pair route is double-only"):
+            mopoly.a_polys(OFF_PRESETS["small_a"], 7).reconstruct(1.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", PrecisionLossWarning)
+            for p in (P0, P1):
+                for n in range(1, 7):
+                    for polys in (mopoly.a_polys, mopoly.b_polys):
+                        for x in (0.3, 1.5, 6.0):
+                            polys(p, n).reconstruct(x)
 
     def test_degrees(self):
         pair = mopoly.a_polys(P0, 5)
@@ -225,6 +306,24 @@ def test_extended_q_matches_series_off_the_presets(mu, nu, b, ratio):
         warnings.simplefilter("ignore", PrecisionLossWarning)
         for n in range(11):
             rows = [(mopoly.q_eval(p, n, x, EXT), mopoly.q_eval_series(p, n, x)) for x in xs]
+            scale = max(abs(direct) for direct, _ in rows)
+            for direct, series in rows:
+                assert abs(direct - series) <= 1e-9 * scale
+
+
+@pytest.mark.parametrize("p", [Params(-0.5, 2.0, 0.9, 1.8), Params(-0.3, 1.0, 0.5, 1.7),
+                               Params(2.0, 3.0, 0.5, 1.7), Params(0.3, 1.3, 0.9, 1.8)],
+                         ids=["mu_neg_nu2", "mu_neg_nu1", "integer", "generic"])
+def test_extended_q_matches_series_at_high_degree(p):
+    # the benchmark's high degrees: n = 25 at 400 bits, and n = 34, where
+    # both double routes escalate; the bound is criterion 3's
+    e400 = PrecisionConfig(mode="extended", mantissa_bits=400)
+    xs = (0.4, 1.0, 2.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", PrecisionLossWarning)
+        for n, precision in ((25, e400), (34, DOUBLE)):
+            rows = [(mopoly.q_eval(p, n, x, precision), mopoly.q_eval_series(p, n, x, precision))
+                    for x in xs]
             scale = max(abs(direct) for direct, _ in rows)
             for direct, series in rows:
                 assert abs(direct - series) <= 1e-9 * scale

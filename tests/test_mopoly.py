@@ -409,6 +409,15 @@ def test_series_stops_past_its_peak():
     assert mopoly.q_eval_series(p, 2, 2.0) == pytest.approx(mopoly.q_eval(p, 2, 2.0), rel=1e-9)
 
 
+def test_series_past_1024_bits():
+    # the stopping tolerance had been the float 10^-dps, which is 0.0 past
+    # about 1030 bits, so no term was small enough and the sum raised
+    # NonConvergence after 10000 outer terms
+    for bits in (1100, 2000):
+        got = mopoly.q_eval_series(P0, 3, 1.0, PrecisionConfig(mode="extended", mantissa_bits=bits))
+        assert got == pytest.approx(mopoly.q_eval(P0, 3, 1.0, EXT), rel=1e-14)
+
+
 def test_series_beyond_double_range_raises():
     # Q_2(4) at a = 200 is 2.2e346: the double sum overflows and escalates,
     # and the extended value does not fit a double

@@ -454,10 +454,10 @@ def q_eval_series(p: Params, n: int, x: float, precision: PrecisionConfig = DOUB
     peak = p.a * math.sqrt(x)
 
     def run(bits):
-        # each truncated int division loses under 2^-wp of the largest
-        # term, and the smallest denominator, mu + 1, keeps only
-        # log2(mu + 1) bits below its own size; 30 guard bits leave 10 bits
-        # above 2^20 divisions
+        # a truncated int division errs by under 2^-wp of the largest term:
+        # 30 guard bits cover 2^20 of them with 10 to spare, and
+        # -log2(mu + 1) more keep the smallest denominator, mu + 1, as
+        # precise relative to itself as in mpf
         wp = bits + 30 + max(0, math.ceil(-math.log2(p.mu + 1.0)))
         acc, max_term = _q_series_run(
             _q_series_fixed(p, n, x, wp), peak,

@@ -7,8 +7,8 @@ from .errors import (BmopError, CapExceeded, DimensionError, DomainError,
                      SymmetryViolation)
 from .precision import DOUBLE, EXTENDED, LogValue, PrecisionConfig, from_env
 from .specfun import Params, bessel_i, bessel_k, omega, rho
-from .mopoly import (PolyPair, a_polys, b_polys, count_sign_changes,
-                     normalization_c, p_coeffs, p_eval, q_coeffs, q_eval)
+from .mopoly import count_sign_changes, normalization_c, p_coeffs, p_eval, q_coeffs, q_eval
+from .lommel import PolyPair, a_polys, b_polys
 from .quad import BiorthReport, QuadConfig, biorth_matrix, moment_closed
 from .recurrence import (RecurrenceCoeffs, p_forward, p_recurrence_coeffs,
                          q_forward, q_recurrence_coeffs)

@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from . import mopoly, precision, rmt, verify
+from . import lommel, mopoly, precision, rmt, verify
 from .errors import (BmopError, CapExceeded, DimensionError, DomainError,
                      NonConvergence, PoleError, SymmetryViolation)
 from .specfun import Params
@@ -67,7 +67,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             return mopoly.q_eval(p, n, x, prec)
         if kind == "P":
             return mopoly.p_eval(p, n, x, prec)
-        pair = mopoly.a_polys(p, n) if kind[0] == "A" else mopoly.b_polys(p, n)
+        pair = lommel.a_polys(p, n) if kind[0] == "A" else lommel.b_polys(p, n)
         return pair.eval_first(x) if kind[1] == "1" else pair.eval_second(x)
 
     rows = [(x, value_at(x)) for x in args.x]

@@ -1,23 +1,24 @@
-"""Linear forms Q_n (first-kind side) and P_n (second-kind side), their
-polynomial pairs, and several independent evaluation routes used to
-cross-validate each other:
+"""Linear forms Q_n (first-kind side) and P_n (second-kind side) and
+several independent evaluation routes used to cross-validate each other:
 
 * basis expansions over shifted weights (q_eval / p_eval),
 * determinant representations (q_eval_determinant / p_eval_determinant),
 * a double-series route for Q_n (q_eval_series),
-* polynomial-pair reconstruction (a_polys / b_polys).
+* the two-term route, pairs built from the shift polynomials, in lommel.
 
 The two families are dual: swapping (mu, a, I) for (nu, b, K) and
 multiplying by c_n turns each explicit formula for Q_n into the one for
 P_n.  A private _Family record holds what differs: the weight order and
 scale, kappa (+1 for I, -1 for K), whether c_n leads, the double weight and
-the order ladder.  Each route (coefficients, expansion, determinant,
-polynomial pair, weight table) has one implementation over the record, and
-the q_/p_, a_/b_ names are thin entry points to it.
+the order ladder.  Each route (coefficients, expansion, determinant, weight
+table) has one implementation over the record, and the q_/p_ names are
+thin entry points to it.  The extended routes take their constants, the
+gap b^2 - a^2, c_n and the series prefactor, in mpf, not from a double.
 
 Alternating sums cancel near the zeros of the forms: _evaluate is the one
 double-then-extended rule, for the expansions, the Q series and lommel's
-shifts.  Every bit count this module chooses comes from precision.bits_for.
+two-term sums.  Every bit count this module chooses comes from
+precision.bits_for.
 
 At high degree the two oracles' inner loops are most of the cost, and an
 operation on mpf objects costs several times the arithmetic it does, so
@@ -49,7 +50,7 @@ from .errors import (BmopError, CapExceeded, DomainError, DoubleOverflow, NonCon
                      PrecisionLossWarning)
 from .precision import DOUBLE, MAX_BITS, LogValue, PrecisionConfig, bits_for
 from . import specfun
-from .specfun import Params, log_gamma, omega, pochhammer, rho
+from .specfun import Params, log_gamma, omega, rho
 
 # a double term carries a few 1e-15 of rounding, which cancellation scales
 # by the ratio: 1e5 keeps the loss below the routes' 1e-9 agreement
@@ -107,45 +108,50 @@ def _log_pref(p: Params) -> float:
             - p.mu * math.log(p.a) - p.nu * math.log(p.b))
 
 
-def _log_top(f: _Family, n: int) -> LogValue:
-    """The lead times Gamma(base+n): Gamma(base+n) for Q_n, and for P_n
-    c_n Gamma(base+n) = 2 gap^base/(a^mu b^nu n!) formed directly."""
-    if f.c_lead:
-        return LogValue(_log_pref(f.params) - log_gamma(n + 1.0).log_magnitude, 1)
-    return log_gamma(f.params.mu + f.params.nu + 1.0 + n)
-
-
 def _coeff_logs(f: _Family, n: int) -> list[LogValue]:
     """lead (-1)^n C(n,j) Gamma(base+n)/Gamma(base+j) (-gap/scale)^j for j = 0..n,
     with base = mu + nu + 1."""
     if n < 0:
         raise DomainError("n must be >= 0")
     base = f.params.mu + f.params.nu + 1.0
-    top = _log_top(f, n)
+    # the lead times Gamma(base+n); for P_n, c_n Gamma(base+n) is
+    # 2 gap^base/(a^mu b^nu n!)
+    top = (LogValue(_log_pref(f.params) - log_gamma(n + 1.0).log_magnitude, 1) if f.c_lead
+           else log_gamma(base + n))
     ratio = LogValue.from_float(-f.params.gap / f.scale)
     return [(top / log_gamma(base + j)).scaled(float(math.comb(n, j)) * (-1.0) ** n)
-            * ratio.powi(j) for j in range(n + 1)]
+            * ratio ** j for j in range(n + 1)]
+
+
+def _gap_mp(p: Params):
+    """b^2 - a^2 at the working precision; p.gap is its double rounding."""
+    return mp.mpf(p.b) ** 2 - mp.mpf(p.a) ** 2
+
+
+def _lead_mp(f: _Family, n: int):
+    """The lead at the working precision: 1 for Q_n, and for P_n
+    c_n = 2 gap^base / (a^mu b^nu Gamma(base+n) n!) with base = mu + nu + 1."""
+    if not f.c_lead:
+        return mp.mpf(1)
+    p = f.params
+    base = mp.mpf(p.mu) + p.nu + 1
+    return 2 * _gap_mp(p) ** base / (mp.mpf(p.a) ** p.mu * mp.mpf(p.b) ** p.nu
+                                     * mpmath.factorial(n) * mpmath.gamma(base + n))
 
 
 def _coeffs_mp(f: _Family, n: int) -> list:
     """The same coefficients as mpfs at the working precision, formed as
-    top ratio^j C(n,j) / (base)_j with the rising product carried along j:
-    Gamma(base+j) = Gamma(base) (base)_j, so top is (base)_n for Q_n and
-    c_n Gamma(base+n) / Gamma(base) for P_n, and no Gamma value depends on j."""
+    lead (base)_n ratio^j C(n,j) / (base)_j with the rising product carried
+    along j: Gamma(base+n)/Gamma(base+j) = (base)_n / (base)_j, so no Gamma
+    value depends on j."""
     p = f.params
-    base = mp.mpf(p.mu) + mp.mpf(p.nu) + 1
-    gap = mp.mpf(p.b) ** 2 - mp.mpf(p.a) ** 2
+    base = mp.mpf(p.mu) + p.nu + 1
     rising = [mp.mpf(1)]
     for j in range(n):
         rising.append(rising[-1] * (base + j))
-    if f.c_lead:
-        top = 2 * gap ** base / (mp.mpf(p.a) ** p.mu * mp.mpf(p.b) ** p.nu * mpmath.factorial(n)
-                                 * mpmath.gamma(base))
-    else:
-        top = rising[n]
-    ratio = -gap / f.scale
+    ratio = -_gap_mp(p) / f.scale
     out = []
-    power = (-1) ** n * top
+    power = (-1) ** n * _lead_mp(f, n) * rising[n]
     for j, r in enumerate(rising):
         out.append(power * math.comb(n, j) / r)
         power *= ratio
@@ -184,20 +190,23 @@ def _to_double(label: str, value, n: int, x: float) -> float:
 
 
 def _double_probe(terms: list) -> tuple:
-    """(sum, largest |term| / |sum|, in_range) of LogValue terms, summed
-    relative to the largest.  in_range says the sum is a normal double, or
-    has cancelled: a sum that rounds to 0.0 or a subnormal has no digits
-    left to measure, but when the largest term's rounding, 2^-53 of it, is
-    still a normal double, the terms cancelled and did not underflow."""
+    """(sum, sum |term| / |sum|, in_range) of LogValue terms, summed
+    relative to the largest.  Each term carries its own rounding, so the
+    loss scales with the terms' summed magnitude; a sum within 2^-53 of it
+    has no digits left (two terms cancel to 0.0, more leave debris) and its
+    ratio is inf.  in_range says the sum is a normal double, or has
+    cancelled: a 0.0 or subnormal sum whose largest term's rounding is a
+    normal double did not underflow."""
     terms = [t for t in terms if t.sign != 0]
     top = max((t.log_magnitude for t in terms), default=-math.inf)
     if top > _LOG_DOUBLE_MAX:
         return math.inf, math.inf, False
-    rel = math.fsum(t.sign * math.exp(t.log_magnitude - top) for t in terms)
+    rels = [t.sign * math.exp(t.log_magnitude - top) for t in terms]
+    rel, mass = math.fsum(rels), math.fsum(map(abs, rels))
     total = rel * math.exp(top)
     in_range = abs(total) < math.inf and (
         abs(total) >= _DOUBLE_MIN or math.ldexp(math.exp(top), -53) >= _DOUBLE_MIN)
-    return total, 1.0 / abs(rel) if rel else math.inf, in_range
+    return total, mass / abs(rel) if abs(rel) > math.ldexp(mass, -53) else math.inf, in_range
 
 
 def _evaluate(label: str, n: int, x: float, probe, run: Callable, limit: float,
@@ -216,9 +225,9 @@ def _evaluate(label: str, n: int, x: float, probe, run: Callable, limit: float,
     elif not in_range:
         cause = "value outside double range"
     elif ratio == math.inf:
-        # terms whose rounding is a normal double summed to 0.0: they
+        # terms whose rounding is a normal double summed to within it: they
         # cancelled, and the probe cannot tell by how much
-        cause = "cancellation to 0.0 in double, the value perhaps below double range"
+        cause = "cancellation below double rounding, the value perhaps below double range"
     elif not ratio <= limit:
         cause = f"cancellation ratio {ratio:.2e}"
     else:
@@ -319,7 +328,7 @@ def _det_full_pivot(rows):
 def _det_eval(label: str, f: _Family, n: int, x: float, precision: PrecisionConfig) -> float:
     """The form from its (n+1)x(n+1) determinant: n rows of Gamma ratios
     Gamma(base+i+j)/Gamma(base+i) over one row (gap/scale)^j w_{order+j}(x),
-    divided by prod_{k<n} k! and multiplied by c_n for P_n.
+    divided by prod_{k<n} k! and multiplied by the lead, c_n for P_n.
 
     Each Gamma row, divided by its leading entry to tame the dynamic range,
     is the rising product (base+i)_j; elimination runs in extended precision.
@@ -334,7 +343,7 @@ def _det_eval(label: str, f: _Family, n: int, x: float, precision: PrecisionConf
     with mp.workprec(bits):
         order = mp.mpf(f.order)
         base = mp.mpf(p.mu) + p.nu + 1
-        scale = mp.mpf(p.gap) / f.scale
+        scale = _gap_mp(p) / f.scale
         rows = [[mp.mpf(1)] for _ in range(n)]
         for i, row in enumerate(rows):
             for k in range(n):
@@ -346,9 +355,7 @@ def _det_eval(label: str, f: _Family, n: int, x: float, precision: PrecisionConf
         # leaving prod k!
         for k in range(n):
             det /= mpmath.factorial(k)
-        if f.c_lead:
-            det *= normalization_c(p, n).value.mpf(bits)
-        return _to_double(label, det, n, x)
+        return _to_double(label, det * _lead_mp(f, n), n, x)
 
 
 def q_eval_determinant(p: Params, n: int, x: float,
@@ -398,7 +405,7 @@ def _q_series_fixed(p: Params, n: int, x: float, wp: int):
     with mp.workprec(wp):
         mu = mp.mpf(p.mu)
         a2x, z, m, base = (to_fixed(v._mpf_, wp) for v in (
-            mp.mpf(p.a) * p.a * x, mp.mpf(p.gap) * x, mu, mu + p.nu + 1))
+            mp.mpf(p.a) * p.a * x, _gap_mp(p) * x, mu, mu + p.nu + 1))
     ratios = [((j - n) * z << wp) // ((j + 1) * (base + j * one)) for j in range(n)]
     outer = one
     k = 0
@@ -463,7 +470,10 @@ def q_eval_series(p: Params, n: int, x: float, precision: PrecisionConfig = DOUB
             _q_series_fixed(p, n, x, wp), peak,
             lambda bound, acc, top: bound << bits < max(abs(acc), top >> 53))
         with mp.workprec(bits):
-            pref = mpmath.exp(mp.mpf(pref_log))
+            # exp(pref_log) in mpf: (a x)^mu (base)_n / Gamma(mu + 1)
+            mu = mp.mpf(p.mu)
+            pref = (mp.mpf(p.a) * x) ** mu * math.prod(
+                (mu + p.nu + 1 + j for j in range(n)), start=mp.mpf(1)) / mpmath.gamma(mu + 1)
             acc, max_term = (mp.make_mpf(from_man_exp(v, -wp)) for v in (acc, max_term))
             return pref_sign * pref * acc, pref * max_term
 
@@ -480,90 +490,6 @@ def q_eval_series(p: Params, n: int, x: float, precision: PrecisionConfig = DOUB
         # a nonzero sum that rounds to 0.0 or a subnormal is below double range
         probe = (out, ratio, in_range and (abs(out) >= _DOUBLE_MIN or acc == 0))
     return _evaluate("q_eval_series", n, x, probe, run, _ESCALATION_RATIO, stacklevel=2)
-
-
-# ---------------------------------------------------------------------------
-# polynomial pairs
-
-@dataclass(frozen=True)
-class PolyPair:
-    """Monomial coefficients of the two polynomials multiplying the base
-    weights; kind "A" pairs with the first-kind family, "B" with the second."""
-    first: tuple
-    second: tuple
-    kind: str
-    n: int
-    params: Params
-
-    def eval_first(self, x: float) -> float:
-        return _horner(self.first, x)
-
-    def eval_second(self, x: float) -> float:
-        return _horner(self.second, x)
-
-    def reconstruct(self, x: float) -> float:
-        """Rebuild the linear form from the pair and the two base weights, in
-        double: the coefficients are doubles, so extended weights could not
-        help.  A PrecisionLossWarning says so when a term exceeds the value
-        by more than the expansions' escalation ratio."""
-        f = (_q_family if self.kind == "A" else _p_family)(self.params)
-        w0, w1 = (f.weight(f.order + k, f.scale, x).value() for k in (0, 1))
-        t0, t1 = self.eval_first(x) * w0, self.eval_second(x) * w1
-        value = t0 + t1
-        if max(abs(t0), abs(t1)) > _ESCALATION_RATIO * abs(value):
-            warnings.warn(f"reconstruct: the pair's terms cancel by more than "
-                          f"{_ESCALATION_RATIO:.0e} at n={self.n}, x={x}; the pair route is "
-                          f"double-only", PrecisionLossWarning, stacklevel=2)
-        return value
-
-
-def _horner(coeffs, x):
-    out = 0.0
-    for c in reversed(coeffs):
-        out = out * x + c
-    return out
-
-
-def _poly_pair(f: _Family, n: int) -> PolyPair:
-    """The pair multiplying w_order and w_{order+1}: the coefficients' shift
-    polynomials evaluated at scale^2 x, with q = kappa gap/scale^2.  Both
-    members carry (-1)^n, the second also -kappa."""
-    if n < 1:
-        raise DomainError("polynomial pairs require n >= 1")
-    p = f.params
-    base = p.mu + p.nu + 1.0
-    q = f.kappa * p.gap / (f.scale * f.scale)
-    top = _log_top(f, n)
-    sign = (-1.0) ** n
-
-    def coeff(i: int, shift: int) -> float:
-        # the x^i coefficient inherits scale^(2i + shift) from evaluating the
-        # shift polynomial at scale^2 x
-        terms = []
-        for j in range(2 * i + shift, n + 1):
-            t = (top / log_gamma(base + j)).value()
-            t *= math.comb(n, j) * math.comb(j - i - 1, i - 1 + shift) * q ** j
-            t *= pochhammer(f.order + i + 1.0, j - 2 * i - shift)
-            terms.append(t)
-        return f.scale ** (2 * i + shift) * math.fsum(terms)
-
-    first = [sign * (top / log_gamma(base)).value()]
-    first += [sign * coeff(i, 0) for i in range(1, n // 2 + 1)]
-    second = [-f.kappa * sign * coeff(i, 1) for i in range((n - 1) // 2 + 1)]
-    return PolyPair(tuple(first), tuple(second), "A" if f.kappa > 0 else "B", n, p)
-
-
-def a_polys(p: Params, n: int) -> PolyPair:
-    """Polynomial pair (A_{n,1}, A_{n,2}) multiplying the first-kind weights."""
-    return _poly_pair(_q_family(p), n)
-
-
-def b_polys(p: Params, n: int) -> PolyPair:
-    """Polynomial pair (B_{n,1}, B_{n,2}) multiplying the second-kind weights.
-
-    Both members carry the same global sign, unlike the A pair.
-    """
-    return _poly_pair(_p_family(p), n)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ import os
 from dataclasses import dataclass
 
 import mpmath
-from mpmath import mp
 
 from .errors import DomainError
 
@@ -105,12 +104,6 @@ class LogValue:
             return 0.0
         return self.sign * math.exp(self.log_magnitude)
 
-    def mpf(self, bits: int = 113):
-        if self.sign == 0:
-            return mp.mpf(0)
-        with mp.workprec(bits):
-            return self.sign * mpmath.exp(mp.mpf(self.log_magnitude))
-
     def __mul__(self, other: "LogValue") -> "LogValue":
         if self.sign == 0 or other.sign == 0:
             return LogValue.zero()
@@ -127,7 +120,7 @@ class LogValue:
         """Multiply by a plain float."""
         return self * LogValue.from_float(factor)
 
-    def powi(self, k: int) -> "LogValue":
+    def __pow__(self, k: int) -> "LogValue":
         if self.sign == 0:
             return LogValue.zero() if k > 0 else LogValue(0.0, 1)
         return LogValue(k * self.log_magnitude, self.sign if k % 2 else 1)

@@ -62,8 +62,9 @@ class Params:
 
     @property
     def gap(self) -> float:
-        """b^2 - a^2, the scale entering every explicit coefficient."""
-        return self.b * self.b - self.a * self.a
+        """b^2 - a^2, the scale entering every explicit coefficient; b - a is
+        exact for b <= 2a, so this keeps the digits b*b - a*a loses as b -> a."""
+        return (self.b - self.a) * (self.b + self.a)
 
 
 def _is_nonpositive_integer(x: float) -> bool:

@@ -72,10 +72,9 @@ def _announces_escalation(call: ast.Call) -> bool:
                     and "escalat" in n.value for n in inner))
 
 
-def _escalation_sites(tree: ast.Module) -> set:
-    """(function, call) for each bits_for call with a measured ratio and each
-    warning that announces an escalation, by innermost enclosing function."""
-    sites = set()
+def _calls(tree: ast.Module) -> list:
+    """(innermost enclosing function, call) for every call in the module."""
+    calls = []
 
     def visit(node, fn):
         for child in ast.iter_child_nodes(node):
@@ -83,14 +82,23 @@ def _escalation_sites(tree: ast.Module) -> set:
                 visit(child, child.name)
                 continue
             if isinstance(child, ast.Call):
-                if _called_name(child) == "bits_for" and (
-                        len(child.args) > 1 or any(k.arg == "ratio" for k in child.keywords)):
-                    sites.add((fn, "bits_for"))
-                elif _announces_escalation(child):
-                    sites.add((fn, "warn"))
+                calls.append((fn, child))
             visit(child, fn)
 
     visit(tree, None)
+    return calls
+
+
+def _escalation_sites(tree: ast.Module) -> set:
+    """(function, call) for each bits_for call with a measured ratio and each
+    warning that announces an escalation, by innermost enclosing function."""
+    sites = set()
+    for fn, call in _calls(tree):
+        if _called_name(call) == "bits_for" and (
+                len(call.args) > 1 or any(k.arg == "ratio" for k in call.keywords)):
+            sites.add((fn, "bits_for"))
+        elif _announces_escalation(call):
+            sites.add((fn, "warn"))
     return sites
 
 
@@ -100,3 +108,14 @@ def test_one_escalation_helper():
     sites = {(f.name,) + site for f in MODULES
              for site in _escalation_sites(ast.parse(f.read_text()))}
     assert sites == {("mopoly.py", "_evaluate", "bits_for"), ("mopoly.py", "_evaluate", "warn")}
+
+
+def test_one_cancellation_policy():
+    # a precision-loss warning comes from the escalation rule or from the
+    # forward recursion's growth monitor; a route that warns and returns
+    # its double would be a second cancellation policy
+    sites = {(f.name, fn) for f in MODULES for fn, call in _calls(ast.parse(f.read_text()))
+             if _called_name(call) == "warn"
+             and any(isinstance(arg, ast.Name) and arg.id == "PrecisionLossWarning"
+                     for arg in call.args + [k.value for k in call.keywords])}
+    assert sites == {("mopoly.py", "_evaluate"), ("recurrence.py", "_forward")}

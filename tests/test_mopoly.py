@@ -1,6 +1,7 @@
 import math
 import random
 import warnings
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -21,9 +22,9 @@ P1 = Params(mu=0.0, nu=1.0, a=0.8, b=1.6)
 OFF_PRESETS = {"generic": Params(0.3, 1.3, 0.9, 1.8), "integer": Params(2.0, 3.0, 0.5, 1.7),
                "small_a": Params(-0.6, 0.4, 1e-3, 0.05), "near_b": Params(0.5, 1.5, 1.0, 1.01)}
 # (expansion, determinant, polynomial pair, weight) of each family
-FAMILIES = {"Q": (mopoly.q_eval, mopoly.q_eval_determinant, mopoly.a_polys,
+FAMILIES = {"Q": (mopoly.q_eval, mopoly.q_eval_determinant, lommel.a_polys,
                   lambda p, j, x: omega(p.mu + j, p.a, x, EXT).value()),
-            "P": (mopoly.p_eval, mopoly.p_eval_determinant, mopoly.b_polys,
+            "P": (mopoly.p_eval, mopoly.p_eval_determinant, lommel.b_polys,
                   lambda p, j, x: rho(p.nu + j, p.b, x, EXT).value())}
 
 
@@ -162,7 +163,7 @@ class TestDetFullPivot:
 class TestPolyPairs:
     def test_a1_constants(self):
         # A_{1,1} = -(mu+nu+1), A_{1,2} = (b^2-a^2)/a
-        pair = mopoly.a_polys(P0, 1)
+        pair = lommel.a_polys(P0, 1)
         assert pair.first == (pytest.approx(-(P0.mu + P0.nu + 1.0)),)
         assert pair.second == (pytest.approx(P0.gap / P0.a),)
 
@@ -170,7 +171,7 @@ class TestPolyPairs:
     @pytest.mark.parametrize("n", [1, 2, 4, 7])
     def test_a_reconstructs_q(self, p, n):
         for x in (0.3, 1.5, 6.0):
-            got = mopoly.a_polys(p, n).reconstruct(x)
+            got = lommel.a_polys(p, n).reconstruct(x)
             ref = mopoly.q_eval(p, n, x, EXT)
             assert got == pytest.approx(ref, rel=1e-10)
 
@@ -178,7 +179,7 @@ class TestPolyPairs:
     @pytest.mark.parametrize("n", [1, 2, 4, 7])
     def test_b_reconstructs_p(self, p, n):
         for x in (0.3, 1.5, 6.0):
-            got = mopoly.b_polys(p, n).reconstruct(x)
+            got = lommel.b_polys(p, n).reconstruct(x)
             ref = mopoly.p_eval(p, n, x, EXT)
             assert got == pytest.approx(ref, rel=1e-10)
 
@@ -197,28 +198,31 @@ class TestPolyPairs:
                 assert abs(pair.reconstruct(x) - expansion(p, n, x, EXT)) <= 1e-13 * terms
 
     def test_reconstruct_warns_when_its_terms_cancel(self):
-        # at a = 1e-3 and n = 7 the terms exceed the value by 1e16 and more;
-        # the pair's coefficients are doubles, so the warning is all it can give
-        with pytest.warns(PrecisionLossWarning, match="pair route is double-only"):
-            mopoly.a_polys(OFF_PRESETS["small_a"], 7).reconstruct(1.5)
+        # at a = 1e-3 and n = 7 the terms exceed the value by 1e14 and more,
+        # which left a double sum of the pair 8.9e1 off; the pair escalates
+        # as the shifts do and says so
+        p = OFF_PRESETS["small_a"]
+        with pytest.warns(PrecisionLossWarning, match="reconstruct: .* escalating"):
+            got = lommel.a_polys(p, 7).reconstruct(1.5)
+        assert got == pytest.approx(mopoly.q_eval(p, 7, 1.5, EXT), rel=1e-9, abs=0)
         with warnings.catch_warnings():
             warnings.simplefilter("error", PrecisionLossWarning)
             for p in (P0, P1):
                 for n in range(1, 7):
-                    for polys in (mopoly.a_polys, mopoly.b_polys):
+                    for polys in (lommel.a_polys, lommel.b_polys):
                         for x in (0.3, 1.5, 6.0):
                             polys(p, n).reconstruct(x)
 
     def test_degrees(self):
-        pair = mopoly.a_polys(P0, 5)
+        pair = lommel.a_polys(P0, 5)
         assert len(pair.first) == 5 // 2 + 1
         assert len(pair.second) == (5 - 1) // 2 + 1
 
     def test_n0_rejected(self):
         with pytest.raises(DomainError):
-            mopoly.a_polys(P0, 0)
+            lommel.a_polys(P0, 0)
         with pytest.raises(DomainError):
-            mopoly.b_polys(P0, 0)
+            lommel.b_polys(P0, 0)
 
 
 class TestSignChanges:
@@ -327,6 +331,51 @@ def test_extended_q_matches_series_at_high_degree(p):
             scale = max(abs(direct) for direct, _ in rows)
             for direct, series in rows:
                 assert abs(direct - series) <= 1e-9 * scale
+
+
+def _order(lo, hi):
+    # an order in (lo, hi]; integer orders are drawn as often as generic ones
+    return st.one_of(st.integers(math.floor(lo) + 1, math.floor(hi)).map(float),
+                     st.floats(lo, hi, exclude_min=True))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(mu=_order(-1.0, 3.0), nu=_order(0.0, 6.0), a=st.floats(0.05, 5.0),
+       ratio=st.floats(1.0, 3.0, exclude_min=True), n=st.integers(1, 10),
+       log_x=st.floats(math.log(1e-2), math.log(20.0)))
+def test_extended_routes_round_to_the_expansions(mu, nu, a, ratio, n, log_x):
+    # at 300 bits the series and both determinants round to the extended
+    # expansion's double, or all raise DoubleOverflow; the gap b^2 - a^2,
+    # c_n and the series prefactor had entered from doubles and left them
+    # up to 5e-14 apart.  Both polynomial pairs rebuild the expansions
+    # within 1e-9.
+    p = Params(mu, nu, a, a * ratio)
+    x = math.exp(log_x)
+    for direct, polys, routes in (
+            (mopoly.q_eval, lommel.a_polys, (mopoly.q_eval_series, mopoly.q_eval_determinant)),
+            (mopoly.p_eval, lommel.b_polys, (mopoly.p_eval_determinant,))):
+        try:
+            ref = direct(p, n, x, EXT)
+        except DoubleOverflow:
+            for route in routes:
+                with pytest.raises(DoubleOverflow):
+                    route(p, n, x, EXT)
+            continue
+        for route in routes:
+            assert abs(route(p, n, x, EXT) - ref) <= math.ulp(ref)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", PrecisionLossWarning)
+            assert polys(p, n).reconstruct(x) == pytest.approx(ref, rel=1e-9, abs=0)
+
+
+def test_double_gap_keeps_its_digits_as_b_approaches_a():
+    # the property test's shrunk failure: at b = a (1 + 2^-52), b*b - a*a
+    # kept no correct digit and left the B pair's double route 31% off
+    p = Params(0.0, 1.0, 0.0546875, 0.0546875 * (1 + 2 ** -52))
+    exact = Fraction(p.b) ** 2 - Fraction(p.a) ** 2
+    assert abs(Fraction(p.gap) - exact) <= exact * 2 ** -52
+    assert lommel.b_polys(p, 1).reconstruct(1.0) == pytest.approx(
+        mopoly.p_eval(p, 1, 1.0, EXT), rel=1e-9, abs=0)
 
 
 def test_double_route_escalates_near_a_zero():

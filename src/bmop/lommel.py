@@ -79,16 +79,19 @@ def shift_pair(order_base: float, m: int) -> ShiftPair:
     return ShiftPair(tuple(r), tuple(s), m, order_base)
 
 
-def _terms(f: _Family, coeffs, order, lift: Callable):
-    """(k, i, c_j sc^(2i+k-j) (r_j, s_j)[i]) for each (j, c_j) in coeffs:
-    c_j w_{order+j}'s share of the x^i w_{order+k} coefficient.  `lift`
-    carries a number into the terms' arithmetic: LogValue.from_float or mp.mpf."""
+def _terms(f: _Family, coeffs, order, lift: Callable, x, w):
+    """(k, i, c_j sc^(k-j) w_k (r_j, s_j)[i] (sc^2 x)^i) for each (j, c_j) in coeffs:
+    c_j w_{order+j}'s share of the x^i w_{order+k} term.  `lift` carries a number
+    into the terms' arithmetic (LogValue.from_float or mp.mpf), which x and w are in."""
     sc = lift(f.kappa * f.scale)
+    y = sc * sc * x
     for j, c in coeffs:
         pair = shift_pair(order, j)
         for k, poly in enumerate((pair.r_poly, pair.s_poly)):
+            lead = c * sc ** (k - j) * w[k]
             for i, coeff in enumerate(poly):
-                yield k, i, c * sc ** (2 * i + k - j) * lift(coeff)
+                if coeff:
+                    yield k, i, lead * y ** i * lift(coeff)
 
 
 def _two_term_eval(label: str, f: _Family, n: int, x: float, coeff_logs: list,
@@ -99,16 +102,15 @@ def _two_term_eval(label: str, f: _Family, n: int, x: float, coeff_logs: list,
     of the mpf order, as double ones carry rounding the sum would amplify."""
     if x <= 0:
         raise DomainError(f"{label} requires x > 0")
-    xl = LogValue.from_float(x)
     w = [f.weight(f.order + k, f.scale, x) for k in (0, 1)]
-    probe = _double_probe([t * xl ** i * w[k]
-                           for k, i, t in _terms(f, coeff_logs, f.order, LogValue.from_float)])
+    probe = _double_probe([t for _, _, t in _terms(f, coeff_logs, f.order, LogValue.from_float,
+                                                   LogValue.from_float(x), w)])
 
     def run(bits):
         with mp.workprec(bits):
             order, xm = mp.mpf(f.order), mp.mpf(x)
             w = f.ladder_mp(order, f.scale, xm, 1, bits)
-            terms = [t * xm ** i * w[k] for k, i, t in _terms(f, coeffs_mp(), order, mp.mpf)]
+            terms = [t for _, _, t in _terms(f, coeffs_mp(), order, mp.mpf, xm, w)]
             return mp.fsum(terms), max(abs(t) for t in terms)
 
     return _evaluate(label, n, x, probe, run, limit, stacklevel + 1)
@@ -171,7 +173,7 @@ def _poly_pair(f: _Family, n: int) -> PolyPair:
         raise DomainError("polynomial pairs require n >= 1")
     cols = ([[] for _ in range(n // 2 + 1)], [[] for _ in range((n + 1) // 2)])
     with mp.workprec(bits_for(n)):
-        for k, i, t in _terms(f, enumerate(_coeffs_mp(f, n)), mp.mpf(f.order), mp.mpf):
+        for k, i, t in _terms(f, enumerate(_coeffs_mp(f, n)), mp.mpf(f.order), mp.mpf, 1, (1, 1)):
             cols[k][i].append(t)
         first, second = (tuple(float(mp.fsum(terms)) for terms in col) for col in cols)
     return PolyPair(first, second, "A" if f.kappa > 0 else "B", n, f.params)

@@ -123,19 +123,14 @@ def _coeff_logs(f: _Family, n: int) -> list[LogValue]:
             * ratio ** j for j in range(n + 1)]
 
 
-def _gap_mp(p: Params):
-    """b^2 - a^2 at the working precision; p.gap is its double rounding."""
-    return mp.mpf(p.b) ** 2 - mp.mpf(p.a) ** 2
-
-
-def _lead_mp(f: _Family, n: int):
+def _lead_mp(f: _Family, n: int, gap):
     """The lead at the working precision: 1 for Q_n, and for P_n
     c_n = 2 gap^base / (a^mu b^nu Gamma(base+n) n!) with base = mu + nu + 1."""
     if not f.c_lead:
         return mp.mpf(1)
     p = f.params
     base = mp.mpf(p.mu) + p.nu + 1
-    return 2 * _gap_mp(p) ** base / (mp.mpf(p.a) ** p.mu * mp.mpf(p.b) ** p.nu
+    return 2 * gap ** base / (mp.mpf(p.a) ** p.mu * mp.mpf(p.b) ** p.nu
                                      * mpmath.factorial(n) * mpmath.gamma(base + n))
 
 
@@ -149,9 +144,10 @@ def _coeffs_mp(f: _Family, n: int) -> list:
     rising = [mp.mpf(1)]
     for j in range(n):
         rising.append(rising[-1] * (base + j))
-    ratio = -_gap_mp(p) / f.scale
+    gap = p.gap_mp()
+    ratio = -gap / f.scale
     out = []
-    power = (-1) ** n * _lead_mp(f, n) * rising[n]
+    power = (-1) ** n * _lead_mp(f, n, gap) * rising[n]
     for j, r in enumerate(rising):
         out.append(power * math.comb(n, j) / r)
         power *= ratio
@@ -343,7 +339,8 @@ def _det_eval(label: str, f: _Family, n: int, x: float, precision: PrecisionConf
     with mp.workprec(bits):
         order = mp.mpf(f.order)
         base = mp.mpf(p.mu) + p.nu + 1
-        scale = _gap_mp(p) / f.scale
+        gap = p.gap_mp()
+        scale = gap / f.scale
         rows = [[mp.mpf(1)] for _ in range(n)]
         for i, row in enumerate(rows):
             for k in range(n):
@@ -355,7 +352,7 @@ def _det_eval(label: str, f: _Family, n: int, x: float, precision: PrecisionConf
         # leaving prod k!
         for k in range(n):
             det /= mpmath.factorial(k)
-        return _to_double(label, det * _lead_mp(f, n), n, x)
+        return _to_double(label, det * _lead_mp(f, n, gap), n, x)
 
 
 def q_eval_determinant(p: Params, n: int, x: float,
@@ -405,7 +402,7 @@ def _q_series_fixed(p: Params, n: int, x: float, wp: int):
     with mp.workprec(wp):
         mu = mp.mpf(p.mu)
         a2x, z, m, base = (to_fixed(v._mpf_, wp) for v in (
-            mp.mpf(p.a) * p.a * x, _gap_mp(p) * x, mu, mu + p.nu + 1))
+            mp.mpf(p.a) * p.a * x, p.gap_mp() * x, mu, mu + p.nu + 1))
     ratios = [((j - n) * z << wp) // ((j + 1) * (base + j * one)) for j in range(n)]
     outer = one
     k = 0
@@ -472,8 +469,7 @@ def q_eval_series(p: Params, n: int, x: float, precision: PrecisionConfig = DOUB
         with mp.workprec(bits):
             # exp(pref_log) in mpf: (a x)^mu (base)_n / Gamma(mu + 1)
             mu = mp.mpf(p.mu)
-            pref = (mp.mpf(p.a) * x) ** mu * math.prod(
-                (mu + p.nu + 1 + j for j in range(n)), start=mp.mpf(1)) / mpmath.gamma(mu + 1)
+            pref = (mp.mpf(p.a) * x) ** mu * mpmath.rf(mu + p.nu + 1, n) / mpmath.gamma(mu + 1)
             acc, max_term = (mp.make_mpf(from_man_exp(v, -wp)) for v in (acc, max_term))
             return pref_sign * pref * acc, pref * max_term
 

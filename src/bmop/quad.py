@@ -205,9 +205,8 @@ def moment_quad(p: Params, i: int, j: int) -> float:
 
 def _moment_mp(p: Params, i: int, j: int):
     s = mp.mpf(p.mu) + p.nu + 1 + i + j
-    gap = mp.mpf(p.b) ** 2 - mp.mpf(p.a) ** 2
     return (mp.mpf(p.a) ** (p.mu + i) * mp.mpf(p.b) ** (p.nu + j)
-            * mpmath.gamma(s) / (2 * gap ** s))
+            * mpmath.gamma(s) / (2 * p.gap_mp() ** s))
 
 
 def biorth_matrix_moments(p: Params, N: int) -> BiorthReport:

@@ -66,6 +66,10 @@ class Params:
         exact for b <= 2a, so this keeps the digits b*b - a*a loses as b -> a."""
         return (self.b - self.a) * (self.b + self.a)
 
+    def gap_mp(self):
+        """b^2 - a^2 at the working precision, for the extended routes."""
+        return mp.mpf(self.b) ** 2 - mp.mpf(self.a) ** 2
+
 
 def _is_nonpositive_integer(x: float) -> bool:
     return x <= 0 and x == math.floor(x)

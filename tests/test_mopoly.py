@@ -160,6 +160,16 @@ class TestDetFullPivot:
             assert abs(got - ref) <= mpmath.mpf(2) ** -190 * abs(ref)
 
 
+def _stored_sum(pair, p, x, weight):
+    """The pair summed from its stored monomial coefficients in doubles, and
+    the sum of the monomials' magnitudes, which bounds that sum's rounding."""
+    w = [weight(p, k, x) for k in (0, 1)]
+    value = pair.eval_first(x) * w[0] + pair.eval_second(x) * w[1]
+    size = sum(abs(c * x ** i * w[k])
+               for k, coeffs in enumerate((pair.first, pair.second)) for i, c in enumerate(coeffs))
+    return value, size
+
+
 class TestPolyPairs:
     def test_a1_constants(self):
         # A_{1,1} = -(mu+nu+1), A_{1,2} = (b^2-a^2)/a
@@ -170,18 +180,22 @@ class TestPolyPairs:
     @pytest.mark.parametrize("p", [P0, P1], ids=["S0", "S1"])
     @pytest.mark.parametrize("n", [1, 2, 4, 7])
     def test_a_reconstructs_q(self, p, n):
+        # reconstruct sums the pair's terms before they are collected, so the
+        # stored coefficients are checked by summing them as well
+        pair = lommel.a_polys(p, n)
         for x in (0.3, 1.5, 6.0):
-            got = lommel.a_polys(p, n).reconstruct(x)
             ref = mopoly.q_eval(p, n, x, EXT)
-            assert got == pytest.approx(ref, rel=1e-10)
+            assert pair.reconstruct(x) == pytest.approx(ref, rel=1e-10)
+            assert _stored_sum(pair, p, x, FAMILIES["Q"][3])[0] == pytest.approx(ref, rel=1e-10)
 
     @pytest.mark.parametrize("p", [P0, P1], ids=["S0", "S1"])
     @pytest.mark.parametrize("n", [1, 2, 4, 7])
     def test_b_reconstructs_p(self, p, n):
+        pair = lommel.b_polys(p, n)
         for x in (0.3, 1.5, 6.0):
-            got = lommel.b_polys(p, n).reconstruct(x)
             ref = mopoly.p_eval(p, n, x, EXT)
-            assert got == pytest.approx(ref, rel=1e-10)
+            assert pair.reconstruct(x) == pytest.approx(ref, rel=1e-10)
+            assert _stored_sum(pair, p, x, FAMILIES["P"][3])[0] == pytest.approx(ref, rel=1e-10)
 
     @pytest.mark.parametrize("family", FAMILIES)
     @pytest.mark.parametrize("p", OFF_PRESETS.values(), ids=OFF_PRESETS)
@@ -193,9 +207,12 @@ class TestPolyPairs:
         for n in range(1, 8):
             pair = polys(p, n)
             for x in (0.3, 1.5, 6.0):
+                ref = expansion(p, n, x, EXT)
+                stored = _stored_sum(pair, p, x, weight)[0]
                 terms = (abs(pair.eval_first(x) * weight(p, 0, x))
                          + abs(pair.eval_second(x) * weight(p, 1, x)))
-                assert abs(pair.reconstruct(x) - expansion(p, n, x, EXT)) <= 1e-13 * terms
+                assert abs(pair.reconstruct(x) - ref) <= 1e-13 * terms
+                assert abs(stored - ref) <= 1e-13 * terms
 
     def test_reconstruct_warns_when_its_terms_cancel(self):
         # at a = 1e-3 and n = 7 the terms exceed the value by 1e14 and more,
@@ -348,12 +365,13 @@ def test_extended_routes_round_to_the_expansions(mu, nu, a, ratio, n, log_x):
     # expansion's double, or all raise DoubleOverflow; the gap b^2 - a^2,
     # c_n and the series prefactor had entered from doubles and left them
     # up to 5e-14 apart.  Both polynomial pairs rebuild the expansions
-    # within 1e-9.
+    # within 1e-9, and their stored coefficients, summed in doubles, within
+    # a rounding of their monomials.
     p = Params(mu, nu, a, a * ratio)
     x = math.exp(log_x)
-    for direct, polys, routes in (
-            (mopoly.q_eval, lommel.a_polys, (mopoly.q_eval_series, mopoly.q_eval_determinant)),
-            (mopoly.p_eval, lommel.b_polys, (mopoly.p_eval_determinant,))):
+    for (direct, _, polys, weight), routes in zip(
+            FAMILIES.values(),
+            ((mopoly.q_eval_series, mopoly.q_eval_determinant), (mopoly.p_eval_determinant,))):
         try:
             ref = direct(p, n, x, EXT)
         except DoubleOverflow:
@@ -363,9 +381,12 @@ def test_extended_routes_round_to_the_expansions(mu, nu, a, ratio, n, log_x):
             continue
         for route in routes:
             assert abs(route(p, n, x, EXT) - ref) <= math.ulp(ref)
+        pair = polys(p, n)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", PrecisionLossWarning)
-            assert polys(p, n).reconstruct(x) == pytest.approx(ref, rel=1e-9, abs=0)
+            assert pair.reconstruct(x) == pytest.approx(ref, rel=1e-9, abs=0)
+        stored, size = _stored_sum(pair, p, x, weight)
+        assert abs(stored - ref) <= 1e-13 * size
 
 
 def test_double_gap_keeps_its_digits_as_b_approaches_a():

@@ -22,14 +22,17 @@ precision.bits_for.
 
 At high degree the two oracles' inner loops are most of the cost, and an
 operation on mpf objects costs several times the arithmetic it does, so
-neither loop uses them.  The determinant's elimination works on the raw
-mpf tuples with mpmath.libmp calls, with the same pivots and the same
-rounding as mpf arithmetic, so its value is unchanged to the bit.  The Q
-series' extended pass sums in fixed point, on Python ints scaled by 2^wp,
-as specfun's Bessel series do: a term is one multiply and one divide of
-ints, and the truncations cost guard bits, not rounding to the working
-precision.  The expansion coefficients carry a rising product along j, so
-they take no Gamma value per coefficient.
+neither loop uses them.  The determinant's rows are Python ints over one
+exponent per row, which keep mp.prec + 32 bits of the row's smallest entry:
+the Gamma rows are built so, and the weight row is converted once.
+Its full-pivot elimination updates an entry with one multiply, one shift
+and one subtract of ints, and rounds the determinant once, so its value is
+at least as accurate as the same steps rounded at mp.prec, not equal to
+them bit for bit.  The Q series' extended pass sums in fixed point, on
+Python ints scaled by 2^wp, as specfun's Bessel series do: a term is one
+multiply and one divide of ints, and the truncations cost guard bits, not
+rounding to the working precision.  The expansion coefficients carry a
+rising product along j, so they take no Gamma value per coefficient.
 """
 
 from __future__ import annotations
@@ -38,13 +41,13 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable
 
 import mpmath
 import numpy as np
 from mpmath import mp
-from mpmath.libmp import (fone, from_man_exp, fzero, mpf_abs, mpf_cmp, mpf_mul, mpf_neg,
-                          mpf_rdiv_int, mpf_sub, round_nearest, to_fixed)
+from mpmath.libmp import from_man_exp, round_nearest, to_fixed
 
 from .errors import (BmopError, CapExceeded, DomainError, DoubleOverflow, NonConvergence,
                      PrecisionLossWarning)
@@ -58,6 +61,8 @@ _ESCALATION_RATIO = 1e5
 _ESCALATION_DEGREE = 30
 _LOG_DOUBLE_MAX = math.log(sys.float_info.max)
 _DOUBLE_MIN = sys.float_info.min
+# guard bits the determinant's rows keep below mp.prec
+_GUARD = 32
 
 
 # ---------------------------------------------------------------------------
@@ -280,45 +285,93 @@ def p_eval(p: Params, n: int, x: float, precision: PrecisionConfig = DOUBLE) -> 
 # ---------------------------------------------------------------------------
 # determinant oracles
 
-def _det_full_pivot(rows):
-    """Determinant by Gaussian elimination with full pivoting, at mp.prec.
+def _fixed_row(values) -> tuple:
+    """A row of reals as (ints, exponent), the entries m_j 2^exponent: the
+    smallest nonzero entry keeps mp.prec + _GUARD bits, so every entry keeps
+    at least that many and the row's ints are wide by its dynamic range."""
+    raw = [mp.convert(v)._mpf_ for v in values]
+    tops = [e + bc for _, man, e, bc in raw if man]
+    if not tops:
+        return [0] * len(raw), 0
+    exp = min(tops) - mp.prec - _GUARD
+    return [to_fixed(v, -exp) for v in raw], exp
 
-    The pivot is the first strict maximum of |a_ij| in row-major order.
-    Every step works on the raw mpf tuples with mpmath.libmp, rounding to
-    nearest at mp.prec as mpf arithmetic does, so the value is the one the
-    same steps on mpf objects give; a step costs a libmp call instead of
-    mpf object dispatch."""
-    prec = mp.prec
-    a = [[mp.convert(v)._mpf_ for v in r] for r in rows]
-    m = len(a)
-    det = fone
-    for k in range(m):
-        piv_i, piv_j, piv = k, k, mpf_abs(a[k][k])
-        for i in range(k, m):
-            row = a[i]
-            for j in range(k, m):
-                v = mpf_abs(row[j])
-                if mpf_cmp(v, piv) > 0:
-                    piv_i, piv_j, piv = i, j, v
-        if piv == fzero:
+
+def _gamma_rows(p: Params, n: int) -> list:
+    """The determinant's n rising-product rows (base+i)_j, j = 0..n, with
+    base = mu + nu + 1 taken exactly from the doubles, as fixed-point ints:
+    their smallest entries, 1 and base, keep mp.prec + _GUARD bits."""
+    base = Fraction(p.mu) + Fraction(p.nu) + 1
+    num, den = base.numerator, base.denominator
+    frac = mp.prec + _GUARD + max(0, den.bit_length() - num.bit_length() + 1)
+    b = (num << frac) // den
+    rows = []
+    for i in range(n):
+        row = [1 << frac]
+        for k in range(n):
+            row.append((row[-1] * (b + ((i + k) << frac))) >> frac)
+        rows.append((row, -frac))
+    return rows
+
+
+def _pivot(a: list, exps: list, k: int) -> tuple:
+    """(i, j) of the first strict maximum of |m_ij| 2^exps[i] over i, j >= k
+    in row-major order; (k, k) if every such entry is zero."""
+    best_i, best_j, best, best_e = k, k, 0, 0
+    for i in range(k, len(a)):
+        # max keeps the first of equal magnitudes, and no earlier entry
+        # equals it
+        top = max(a[i][k:], key=abs)
+        v, d = abs(top), exps[i] - best_e
+        if v and (not best or (v << d > best if d >= 0 else v > best << -d)):
+            best_i, best_j, best, best_e = i, a[i].index(top, k), v, exps[i]
+    return best_i, best_j
+
+
+def _det_full_pivot(rows: list):
+    """Determinant of rows given as (ints, exponent), by Gaussian elimination
+    with full pivoting, rounded once to mp.prec.
+
+    The pivot is _pivot's, the first strict maximum of |a_ij| in row-major
+    order.  A row's exponent is common to its entries and cancels in the
+    update m_ij -= m_ik m_kj / m_kk, so a step is m_ij -= (f m_kj) >> s
+    with f = m_ik 2^s / m_kk on ints, and 2^s above every |m_kj| keeps each
+    step's error below two units of row i.  The determinant accumulates
+    exactly as an int over one exponent."""
+    a = [list(m) for m, _ in rows]
+    exps = [e for _, e in rows]
+    size = len(a)
+    det, exp = 1, 0
+    for k in range(size):
+        i, j = _pivot(a, exps, k)
+        if not a[i][j]:
             return mp.mpf(0)
-        if piv_i != k:
-            a[k], a[piv_i] = a[piv_i], a[k]
-            det = mpf_neg(det)
-        if piv_j != k:
+        if i != k:
+            a[k], a[i], exps[k], exps[i], det = a[i], a[k], exps[i], exps[k], -det
+        if j != k:
             for row in a[k:]:
-                row[k], row[piv_j] = row[piv_j], row[k]
-            det = mpf_neg(det)
+                row[k], row[j] = row[j], row[k]
+            det = -det
         top = a[k]
-        det = mpf_mul(det, top[k], prec, round_nearest)
-        inv = mpf_rdiv_int(1, top[k], prec, round_nearest)
+        piv = top[k]
+        det *= piv
+        exp += exps[k]
         # column k is eliminated and never read again
+        tail = top[k + 1:]
+        s = max((abs(v) for v in tail), default=0).bit_length()
         for row in a[k + 1:]:
-            f = mpf_mul(row[k], inv, prec, round_nearest)
-            for j in range(k + 1, m):
-                row[j] = mpf_sub(row[j], mpf_mul(f, top[j], prec, round_nearest),
-                                 prec, round_nearest)
-    return mp.make_mpf(det)
+            if row[k]:
+                f = (row[k] << s) // piv
+                row[k + 1:] = [v - ((f * t) >> s) for v, t in zip(row[k + 1:], tail)]
+    return mp.make_mpf(from_man_exp(det, exp, mp.prec, round_nearest))
+
+
+def _det_rows(f: _Family, n: int, x: float) -> list:
+    """The (n+1)x(n+1) matrix of _det_eval at mp.prec, as _det_full_pivot's rows."""
+    p = f.params
+    scale = p.gap_mp() / f.scale
+    weights = f.ladder_mp(mp.mpf(f.order), f.scale, x, n, mp.prec)
+    return _gamma_rows(p, n) + [_fixed_row([scale ** j * w for j, w in enumerate(weights)])]
 
 
 def _det_eval(label: str, f: _Family, n: int, x: float, precision: PrecisionConfig) -> float:
@@ -327,7 +380,8 @@ def _det_eval(label: str, f: _Family, n: int, x: float, precision: PrecisionConf
     divided by prod_{k<n} k! and multiplied by the lead, c_n for P_n.
 
     Each Gamma row, divided by its leading entry to tame the dynamic range,
-    is the rising product (base+i)_j; elimination runs in extended precision.
+    is the rising product (base+i)_j, built in fixed point; the elimination
+    runs on ints with mp.prec + _GUARD bits per row.
     """
     cap = 30 if precision.extended else 10
     if n > cap:
@@ -335,24 +389,12 @@ def _det_eval(label: str, f: _Family, n: int, x: float, precision: PrecisionConf
     if x <= 0:
         raise DomainError("x must be > 0")
     bits = max(precision.mantissa_bits if precision.extended else 0, bits_for(n))
-    p = f.params
     with mp.workprec(bits):
-        order = mp.mpf(f.order)
-        base = mp.mpf(p.mu) + p.nu + 1
-        gap = p.gap_mp()
-        scale = gap / f.scale
-        rows = [[mp.mpf(1)] for _ in range(n)]
-        for i, row in enumerate(rows):
-            for k in range(n):
-                row.append(row[-1] * (base + i + k))
-        weights = f.ladder_mp(order, f.scale, x, n, bits)
-        rows.append([scale ** j * w for j, w in enumerate(weights)])
-        det = _det_full_pivot(rows)
         # row scaling cancels Gamma(base+k) in the stated normalizer,
         # leaving prod k!
-        for k in range(n):
-            det /= mpmath.factorial(k)
-        return _to_double(label, det * _lead_mp(f, n, gap), n, x)
+        det = (_det_full_pivot(_det_rows(f, n, x))
+               / math.prod(math.factorial(k) for k in range(n)))
+        return _to_double(label, det * _lead_mp(f, n, f.params.gap_mp()), n, x)
 
 
 def q_eval_determinant(p: Params, n: int, x: float,

@@ -124,39 +124,92 @@ def _det_on_mpfs(rows):
     return det
 
 
+def _det(rows):
+    """The kernel on rows of numbers."""
+    return mopoly._det_full_pivot([mopoly._fixed_row(r) for r in rows])
+
+
+def _mpf_rows(rows):
+    """Kernel rows (ints, exponent) as mpfs, rounded at mp.prec."""
+    return [[mpmath.ldexp(m, e) for m in ms] for ms, e in rows]
+
+
+def _exact_det(rows) -> Fraction:
+    a = [[Fraction(v) for v in r] for r in rows]
+    det = Fraction(1)
+    for k in range(len(a)):
+        i = next((i for i in range(k, len(a)) if a[i][k]), None)
+        if i is None:
+            return Fraction(0)
+        if i != k:
+            a[k], a[i], det = a[i], a[k], -det
+        det *= a[k][k]
+        for row in a[k + 1:]:
+            f = row[k] / a[k][k]
+            row[k:] = [v - f * t for v, t in zip(row[k:], a[k][k:])]
+    return det
+
+
 class TestDetFullPivot:
     def test_row_and_column_swaps_keep_the_sign(self):
         # the largest entry, 10, sits in the last row and column, so the
         # first step swaps both; one swap alone flips the sign
         with mp.workprec(100):
-            got = mopoly._det_full_pivot([[1, 2, 3], [4, 5, 6], [7, 8, 10]])
+            got = _det([[1, 2, 3], [4, 5, 6], [7, 8, 10]])
             assert abs(got + 3) < 1e-28
-        assert mopoly._det_full_pivot([[0, 1], [1, 0]]) == -1
-        assert mopoly._det_full_pivot([[0, 1, 0], [0, 0, 1], [1, 0, 0]]) == 1
+        assert _det([[0, 1], [1, 0]]) == -1
+        assert _det([[0, 1, 0], [0, 0, 1], [1, 0, 0]]) == 1
 
     def test_exactly_singular_returns_zero(self):
         # every step is exact in binary: the second row eliminates to zeros
-        got = mopoly._det_full_pivot([[8, 4, 2], [4, 2, 1], [1, 1, 1]])
+        got = _det([[8, 4, 2], [4, 2, 1], [1, 1, 1]])
         assert isinstance(got, mpmath.mpf) and got == 0
-        assert mopoly._det_full_pivot([[0, 0], [0, 0]]) == 0
+        assert _det([[0, 0], [0, 0]]) == 0
 
-    def test_ties_take_the_first_maximum_in_row_major_order(self):
+    def test_ties_take_the_first_maximum_in_row_major_order(self, monkeypatch):
         # entries of equal magnitude at 8 bits, where each pivot choice
-        # rounds differently: the value is the mpf elimination's, bit for bit
+        # rounds differently.  Every pivot is the first strict maximum of the
+        # rows as they stand, read exactly; the sign is the exact
+        # determinant's where that is nonzero, and the value lies within a rounding at 8 bits of it
+        # plus 2^-(8+28) of Hadamard's bound (the mpf elimination at 8 bits
+        # had left -1.9 for an exact 0)
+        pivot = mopoly._pivot
+        choices = []
+
+        def recorded(a, exps, k):
+            values = [[Fraction(m) * Fraction(2) ** e for m in row] for row, e in zip(a, exps)]
+            first = (k, k)
+            for i in range(k, len(a)):
+                for j in range(k, len(a)):
+                    if abs(values[i][j]) > abs(values[first[0]][first[1]]):
+                        first = (i, j)
+            got = pivot(a, exps, k)
+            choices.append((got, first))
+            return got
+
+        monkeypatch.setattr(mopoly, "_pivot", recorded)
         rng = random.Random(19)
-        with mp.workprec(8):
-            for _ in range(40):
-                rows = [[rng.choice((-3, -1, 1, 3)) for _ in range(5)] for _ in range(5)]
-                assert mopoly._det_full_pivot(rows) == _det_on_mpfs(rows)
-            tied = [[3, -3, 1], [-3, 1, 3], [1, 3, -3]]
-            assert mopoly._det_full_pivot(tied) == _det_on_mpfs(tied)
+        mats = [[[rng.choice((-3, -1, 1, 3)) for _ in range(5)] for _ in range(5)]
+                for _ in range(40)]
+        mats.append([[3, -3, 1], [-3, 1, 3], [1, 3, -3]])
+        for rows in mats:
+            with mp.workprec(8):
+                got = _det(rows)
+            exact = _exact_det(rows)
+            hadamard = math.prod(math.hypot(*row) for row in rows)
+            if exact:
+                assert mpmath.sign(got) == mpmath.sign(exact.numerator)
+            with mp.workprec(200):
+                assert (abs(got - exact.numerator)
+                        <= 2.0 ** -8 * abs(exact.numerator) + 2.0 ** -36 * hadamard)
+        assert choices and all(got == first for got, first in choices)
 
     def test_well_conditioned_matches_mpmath(self):
         rng = random.Random(6)
         with mp.workprec(200):
             rows = [[mp.mpf(rng.uniform(-1, 1)) + (6 if i == j else 0) for j in range(6)]
                     for i in range(6)]
-            got, ref = mopoly._det_full_pivot(rows), mpmath.det(mpmath.matrix(rows))
+            got, ref = _det(rows), mpmath.det(mpmath.matrix(rows))
             assert abs(got - ref) <= mpmath.mpf(2) ** -190 * abs(ref)
 
 
@@ -387,6 +440,65 @@ def test_extended_routes_round_to_the_expansions(mu, nu, a, ratio, n, log_x):
             assert pair.reconstruct(x) == pytest.approx(ref, rel=1e-9, abs=0)
         stored, size = _stored_sum(pair, p, x, weight)
         assert abs(stored - ref) <= 1e-13 * size
+
+
+def _det_sets(rng):
+    """One draw each of integer orders, mu in (-1, 0), b/a -> 1+ and a = 200."""
+    mu, nu, r = rng.uniform(-1, 3), rng.uniform(0, 6), rng.uniform(1, 3)
+    a = rng.uniform(0.05, 5)
+    return [Params(float(rng.randint(0, 3)), float(rng.randint(1, 6)), a, a * r),
+            Params(-rng.random(), nu, a, a * r),
+            Params(mu, nu, a, a * (1 + 10 ** -rng.uniform(2, 12))),
+            Params(mu, nu, 200.0, 200.0 * r)]
+
+
+@pytest.mark.parametrize("n", range(1, 31))
+def test_determinant_kernel_as_accurate_as_mpf_elimination(n):
+    # on _det_eval's own matrices at 141-1100 bits, the int kernel's error
+    # against mpmath.det at 2 bits + 300 is at most 4 times that of the mpf
+    # elimination at the same bits, or 4 units of 2^-bits, the size of the
+    # final rounding.  mpmath.det reads a row far below the matrix's norm as
+    # singular (a weight row of 1e-669 under rows of 1, or Gamma rows under
+    # a weight row of 2^1089), so the reference scales each row's largest
+    # entry to [1/2, 1) and multiplies the scales back.
+    rng = random.Random(n)
+    for k, p in enumerate(_det_sets(rng)):
+        family = (mopoly._q_family, mopoly._p_family)[(n + k) % 2]
+        bits = rng.randint(141, 1100)
+        with mp.workprec(bits):
+            x = math.exp(rng.uniform(math.log(1e-2), math.log(20)))
+            rows = mopoly._det_rows(family(p), n, x)
+            got = mopoly._det_full_pivot(rows)
+            on_mpfs = _det_on_mpfs(_mpf_rows(rows))
+        with mp.workprec(2 * bits + 300):
+            tops = [max(map(abs, m)).bit_length() for m, _ in rows]
+            ref = mpmath.ldexp(mpmath.det(_mpf_rows([(m, -t) for (m, _), t in zip(rows, tops)])),
+                               sum(e + t for (_, e), t in zip(rows, tops)))
+            err, err_mpfs = (abs(v - ref) / abs(ref) * 2 ** bits for v in (got, on_mpfs))
+        assert err <= 4 * max(err_mpfs, 1), (p, bits)
+
+
+HIGH_DEGREE_SETS = {"S0": P0, "S1": P1, "generic": OFF_PRESETS["generic"],
+                    "negative_mu": Params(-0.7, 2.2, 0.6, 1.5),
+                    "near_b": Params(0.5, 1.5, 1.0, 1.05)}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("p", HIGH_DEGREE_SETS.values(), ids=HIGH_DEGREE_SETS)
+@pytest.mark.parametrize("n", [20, 25, 30])
+def test_determinants_round_to_the_expansions_at_high_degree(family, p, n):
+    # the degrees the benchmark's high_degree workload reaches, at 400 bits:
+    # the determinant rounds within one ulp of the extended expansion
+    expansion, determinant, _, _ = FAMILIES[family]
+    prec = PrecisionConfig(mode="extended", mantissa_bits=400)
+    for x in (0.2, 1.0, 4.0, 12.0):
+        try:
+            ref = expansion(p, n, x, prec)
+        except DoubleOverflow:
+            with pytest.raises(DoubleOverflow):
+                determinant(p, n, x, prec)
+            continue
+        assert abs(determinant(p, n, x, prec) - ref) <= math.ulp(ref)
 
 
 def test_double_gap_keeps_its_digits_as_b_approaches_a():

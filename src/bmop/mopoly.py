@@ -340,9 +340,8 @@ def _det_full_pivot(rows: list):
     exactly as an int over one exponent."""
     a = [list(m) for m, _ in rows]
     exps = [e for _, e in rows]
-    size = len(a)
     det, exp = 1, 0
-    for k in range(size):
+    for k in range(len(a)):
         i, j = _pivot(a, exps, k)
         if not a[i][j]:
             return mp.mpf(0)
